@@ -37,7 +37,7 @@ from typing import Optional
 from ...hdl.signal import Signal
 from . import domain
 from .domain import AbstractValue
-from .transfer import eval_expr, expr_signals
+from .transfer import eval_expr, expr_signals, width_only
 
 #: per-signal joins tolerated before widening to TOP(width)
 WIDEN_AFTER = 3
@@ -146,10 +146,10 @@ def _solve(design) -> DataflowResult:
     for rec in design.procs:
         rebound_globals.update(rec.nonlocal_stores)
 
-    def attr_ok(owner_id: int, name: str) -> bool:
-        if owner_id == 0:
+    def attr_ok(owner: object, name: str) -> bool:
+        if owner is None:
             return name not in rebound_globals
-        return (owner_id, name) not in mutated_keys
+        return (id(owner), name) not in mutated_keys
 
     # -- decide tracked vs TOP ----------------------------------------------
     values: dict = {}
@@ -184,12 +184,8 @@ def _solve(design) -> DataflowResult:
 
     def sig_value(sig) -> Optional[AbstractValue]:
         av = values.get(sig)
-        if av is not None:
-            return av
-        w = getattr(sig, "width", None)
-        if w is None:
-            return None
-        return domain.top(w)  # out-of-design signal: width bound still holds
+        # out-of-design signal: its width bound still holds
+        return av if av is not None else width_only(sig)
 
     # -- fixpoint -------------------------------------------------------------
     joins: dict = {s: 0 for s in tracked}

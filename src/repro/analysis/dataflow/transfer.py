@@ -8,8 +8,14 @@ callbacks so the solver controls the leaf policy:
 
 * ``sig_value(sig)`` — abstract value of a signal read (``None`` marks the
   read unmodelable, which poisons the whole tree);
-* ``attr_ok(owner_id, name)`` — whether an attribute-derived constant may
-  be trusted (the solver rejects attributes some process mutates).
+* ``attr_ok(owner, name)`` — whether an attribute-derived constant may
+  be trusted (the solver rejects attributes some process mutates; the
+  compiled backend trusts only rebind-proof owners).
+
+The lint solver supplies its fixpoint values as ``sig_value``; the
+compiled backend supplies :func:`width_only` — a signal read is only
+known to lie inside its declared width, a bound every kernel write path
+enforces unconditionally.
 
 A ``None`` result always means *unknown shape*, never *empty set*.
 """
@@ -37,7 +43,13 @@ _BIN_OPS = {
 }
 
 SigValue = Callable[[object], Optional[AbstractValue]]
-AttrOk = Callable[[int, str], bool]
+AttrOk = Callable[[object, str], bool]
+
+
+def width_only(sig: object) -> Optional[AbstractValue]:
+    """Leaf policy trusting nothing but a signal's declared width."""
+    width = getattr(sig, "width", None)
+    return None if width is None else domain.top(width)
 
 
 def eval_expr(
@@ -52,8 +64,8 @@ def eval_expr(
     if tag == "const":
         return domain.const(expr[1])
     if tag == "attr":
-        _, v, owner_id, name = expr
-        if attr_ok is not None and not attr_ok(owner_id, name):
+        _, v, owner, name = expr
+        if attr_ok is not None and not attr_ok(owner, name):
             return None
         return domain.const(v)
     if tag == "sig":
@@ -157,6 +169,36 @@ def eval_expr(
     return None
 
 
+def int_typed(expr: Optional[tuple]) -> bool:
+    """True when evaluating the tree provably yields an ``int``, not a ``bool``.
+
+    A type judgement, not a value: the kernel commits ``int(value) &
+    mask``, so codegen may drop that mask only when the expression already
+    is such an ``int``.  Conservative where Python's rules are subtle
+    (``True + 1`` is an int, but is reported as not provable).
+    """
+    if expr is None:
+        return False
+    tag = expr[0]
+    if tag in ("const", "attr"):
+        return type(expr[1]) is int
+    if tag in ("sig", "bit", "bits"):
+        return True
+    if tag == "bin":  # ``**`` with a negative exponent yields a float
+        return expr[1] != "**" and int_typed(expr[2]) and int_typed(expr[3])
+    if tag == "un":
+        return expr[1] != "not" and int_typed(expr[2])
+    if tag == "bool":
+        return all(int_typed(a) for a in expr[2])
+    if tag == "ifexp":
+        return int_typed(expr[2]) and int_typed(expr[3])
+    if tag == "call":
+        if expr[1] == "int":
+            return True
+        return expr[1] in ("abs", "min", "max") and all(int_typed(a) for a in expr[2])
+    return False  # a comparison yields a bool
+
+
 def expr_signals(expr: Optional[tuple]) -> set:
     """Every Signal object a resolved expression tree reads."""
     sigs: set = set()
@@ -186,4 +228,4 @@ def _collect(expr: Optional[tuple], sigs: set) -> None:
             _collect(a, sigs)
 
 
-__all__ = ["eval_expr", "expr_signals"]
+__all__ = ["eval_expr", "expr_signals", "int_typed", "width_only"]

@@ -83,6 +83,21 @@ def _is_chain_step_pure(node: ast.AST) -> bool:
 #: ``None`` marks a value the model cannot express (opaque).
 Expr = Optional[tuple]
 
+#: Python operator node → :data:`Expr` operator symbol (also the spelling
+#: the compiled backend emits)
+BIN_EXPR_OPS: dict[type, str] = {
+    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
+    ast.Mod: "%", ast.Pow: "**", ast.LShift: "<<", ast.RShift: ">>",
+    ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
+}
+CMP_EXPR_OPS: dict[type, str] = {
+    ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
+    ast.Gt: ">", ast.GtE: ">=",
+}
+UN_EXPR_OPS: dict[type, str] = {
+    ast.USub: "-", ast.UAdd: "+", ast.Invert: "~", ast.Not: "not",
+}
+
 #: node-count ceiling on captured expressions — beyond this the value is
 #: treated as opaque rather than ballooning summaries
 _MAX_EXPR_NODES = 96
@@ -127,9 +142,12 @@ class FnSummary:
 
     reads: set = field(default_factory=set)  # chains read via .value/.bit/.bits
     uses: set = field(default_factory=set)  # bare chains (signal iff resolves to one)
-    calls: set = field(default_factory=set)  # (chain, args_taint, arg_aliases)
+    #: the two ordered sets below (dicts with ``None`` values) keep source
+    #: order: the resolver's discovery order breaks ties in the codegen
+    #: guard tuple, so it must not follow string hashing
+    calls: dict = field(default_factory=dict)  # (chain, args_taint, arg_aliases)
     writes: list = field(default_factory=list)  # [WriteSite]
-    attr_loads: set = field(default_factory=set)  # attribute chains loaded
+    attr_loads: dict = field(default_factory=dict)  # attribute chains loaded
     attr_stores: set = field(default_factory=set)  # attribute chains stored/mutated
     nonlocal_stores: set = field(default_factory=set)  # names rebound via closure
     #: calls whose target could not be modelled (dynamic dispatch, etc.)
@@ -242,16 +260,6 @@ class _Analyzer:
 
     # -- symbolic value expressions ------------------------------------------
 
-    _BIN_EXPR_OPS = {
-        ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
-        ast.Mod: "%", ast.Pow: "**", ast.LShift: "<<", ast.RShift: ">>",
-        ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
-    }
-    _CMP_EXPR_OPS = {
-        ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
-        ast.Gt: ">", ast.GtE: ">=",
-    }
-    _UN_EXPR_OPS = {ast.USub: "-", ast.UAdd: "+", ast.Invert: "~", ast.Not: "not"}
     _EXPR_CALLS = frozenset({"min", "max", "abs", "int", "bool"})
 
     def expr_of(self, node: Optional[ast.AST]) -> Expr:
@@ -270,11 +278,8 @@ class _Analyzer:
     def _expr_of(self, node: Optional[ast.AST]) -> Expr:
         if isinstance(node, ast.Constant):
             v = node.value
-            if isinstance(v, bool):
-                return ("const", int(v))
-            if isinstance(v, int):
-                return ("const", v)
-            return None
+            # bool literals stay bools: codegen must tell them from ints
+            return ("const", v) if isinstance(v, int) else None
         if isinstance(node, ast.Name):
             local = self.env.get(node.id)
             if local is not None:
@@ -288,7 +293,7 @@ class _Analyzer:
                 return ("read", chain[:-1])
             return ("chainval", chain)
         if isinstance(node, ast.BinOp):
-            op = self._BIN_EXPR_OPS.get(type(node.op))
+            op = BIN_EXPR_OPS.get(type(node.op))
             if op is None:
                 return None
             left = self._expr_of(node.left)
@@ -297,7 +302,7 @@ class _Analyzer:
                 return None
             return ("bin", op, left, right)
         if isinstance(node, ast.UnaryOp):
-            op = self._UN_EXPR_OPS.get(type(node.op))
+            op = UN_EXPR_OPS.get(type(node.op))
             if op is None:
                 return None
             x = self._expr_of(node.operand)
@@ -307,7 +312,7 @@ class _Analyzer:
         if isinstance(node, ast.Compare):
             if len(node.ops) != 1:
                 return None
-            op = self._CMP_EXPR_OPS.get(type(node.ops[0]))
+            op = CMP_EXPR_OPS.get(type(node.ops[0]))
             if op is None:
                 return None
             left = self._expr_of(node.left)
@@ -359,7 +364,7 @@ class _Analyzer:
 
     def _aug_expr(self, base: Expr, stmt: ast.AugAssign) -> Expr:
         """Symbolic tree for ``target <op>= value`` given target's tree."""
-        op = self._BIN_EXPR_OPS.get(type(stmt.op))
+        op = BIN_EXPR_OPS.get(type(stmt.op))
         if op is None or base is None:
             return None
         value = self.expr_of(stmt.value)
@@ -401,7 +406,7 @@ class _Analyzer:
                 prefix = chain2[:-1]
                 self.s.reads.add(prefix)
                 return frozenset({("sig", prefix)})
-            self.s.attr_loads.add(chain2)
+            self.s.attr_loads[chain2] = None
             self.s.uses.add(chain2)
             return frozenset({("sig", chain2)})
         if isinstance(node, ast.Subscript):
@@ -504,7 +509,7 @@ class _Analyzer:
                     self.s.reads.add(prefix)  # an actual value, read then compared
                     return frozenset({("sig", prefix)})
                 if chain[-1][0] == "a":
-                    self.s.attr_loads.add(chain)
+                    self.s.attr_loads[chain] = None
                 return frozenset()
         return self.taint_of(node)
 
@@ -613,7 +618,7 @@ class _Analyzer:
                 return frozenset()
             if name in _MUTATORS:
                 self.s.attr_stores.add(prefix)
-                self.s.attr_loads.add(prefix)
+                self.s.attr_loads[prefix] = None
                 return args_taint
         # Positional-argument alias chains let resolution bind callee
         # parameters to concrete objects ("pass the unit, not just its op").
@@ -621,7 +626,7 @@ class _Analyzer:
             self._chain_of(a) if _is_chain_step_pure(a) else None
             for a in node.args
         )
-        self.s.calls.add((chain, args_taint, arg_aliases))
+        self.s.calls[(chain, args_taint, arg_aliases)] = None
         return frozenset({("call", chain, args_taint)}) | args_taint
 
     # -- statements ----------------------------------------------------------
@@ -708,7 +713,7 @@ class _Analyzer:
                                         ("read", chain2[:-1]), stmt))
                     else:
                         self.s.attr_stores.add(chain2)
-                        self.s.attr_loads.add(chain2)
+                        self.s.attr_loads[chain2] = None
                 elif target.attr == "nxt":
                     self.s.opaque_reads = True
                     self.s.opaque_writes = True
@@ -716,7 +721,7 @@ class _Analyzer:
                 base = self._chain_of(target.value)
                 if base is not None:
                     self.s.attr_stores.add(base)
-                    self.s.attr_loads.add(base)
+                    self.s.attr_loads[base] = None
                 self.taint_of(target.slice)
         elif isinstance(stmt, ast.AnnAssign):
             taint = self.taint_of(stmt.value) if stmt.value else frozenset()
@@ -796,7 +801,7 @@ class _Analyzer:
 _SUMMARY_CACHE: dict[types.CodeType, FnSummary] = {}
 
 
-def _find_def(tree: ast.AST, name: str, lineno: int):
+def find_def(tree: ast.AST, name: str, lineno: int):
     """Locate the FunctionDef/Lambda a code object came from."""
     best = None
     for node in ast.walk(tree):
@@ -822,7 +827,7 @@ def summarize(fn: Callable[..., Any]) -> FnSummary:
     try:
         src = textwrap.dedent(inspect.getsource(fn))
         tree = ast.parse(src)
-        node = _find_def(tree, code.co_name, code.co_firstlineno)
+        node = find_def(tree, code.co_name, code.co_firstlineno)
         if node is None:
             raise SyntaxError(f"no def {code.co_name!r} in extracted source")
         analyzer = _Analyzer(summary)
@@ -853,10 +858,7 @@ class ResolvedWrite:
     deps_unresolved: bool
     #: concrete source signal of a pure ``dst.set(src.value)`` copy
     src: Optional[Signal] = None
-    #: resolved symbolic value tree — like :data:`Expr` but with
-    #: ("sig", Signal) leaves for signal reads and ("attr", v, owner_id,
-    #: name) for attribute-derived constants (provenance lets the solver
-    #: reject constants whose owner attribute some process mutates);
+    #: resolved symbolic value tree (see :func:`_resolve_expr`);
     #: ``None`` when the written value is outside the model
     expr: Optional[tuple] = None
 
@@ -887,8 +889,8 @@ class ResolvedFn:
         return self.opaque_reads or self.opaque_writes
 
 
-def _root_env(fn: Callable[..., Any]) -> dict[str, Any]:
-    """Name → object environment: closure cells, defaults, then globals."""
+def root_env(fn: Callable[..., Any]) -> dict[str, Any]:
+    """Name → object environment: receiver, closure cells, defaults, globals."""
     env: dict[str, Any] = {}
     code = fn.__code__
     env.update(getattr(fn, "__globals__", {}))
@@ -903,6 +905,9 @@ def _root_env(fn: Callable[..., Any]) -> dict[str, Any]:
             env[name] = cell.cell_contents
         except ValueError:  # empty cell
             pass
+    bound_self = getattr(fn, "__self__", None)
+    if bound_self is not None:
+        env["self"] = bound_self  # the receiver always wins over globals
     return env
 
 
@@ -1005,10 +1010,14 @@ def _resolve_chain(chain: Chain, env: dict[str, Any]) -> Optional[list]:
 def _resolve_expr(expr: Expr, env: dict[str, Any]) -> Optional[tuple]:
     """Resolve a symbolic value tree against a concrete environment.
 
-    Signal-read leaves must resolve to exactly one numeric :class:`Signal`;
-    attribute/global leaves must resolve to exactly one int (recorded with
-    provenance so the solver can discount mutated attributes).  Anything
-    else makes the whole tree opaque (returns None).
+    Signal-read leaves must resolve to exactly one numeric :class:`Signal`
+    and become ``("sig", Signal)``; attribute/global leaves must resolve to
+    exactly one int and become ``("attr", v, owner, name)``.  ``v`` keeps
+    its Python type (a ``bool`` stays a ``bool``); ``owner`` is the object
+    the value was loaded from (``None`` for a global or closure name,
+    ``name`` ``"[]"`` for a constant subscript), so the solver can discount
+    attributes some process mutates and codegen can trust only rebind-proof
+    owners.  Anything else makes the whole tree opaque (returns None).
     """
     if expr is None:
         return None
@@ -1040,19 +1049,14 @@ def _resolve_expr(expr: Expr, env: dict[str, Any]) -> Optional[tuple]:
         if not isinstance(v, int):  # bool is an int; Signals are not
             return None
         last = chain[-1]
-        if last[0] == "a" and len(chain) > 1:
+        if last[0] in ("a", "i") and len(chain) > 1:
             owners = _resolve_chain(chain[:-1], env)
             if owners is None or len(owners) != 1:
                 return None
-            return ("attr", int(v), id(owners[0]), last[1])
-        if last[0] == "i" and len(chain) > 1:
-            owners = _resolve_chain(chain[:-1], env)
-            if owners is None or len(owners) != 1:
-                return None
-            return ("attr", int(v), id(owners[0]), "[]")
+            return ("attr", v, owners[0], last[1] if last[0] == "a" else "[]")
         if last[0] == "r":
             # module-global / closure constant: provenance by name only
-            return ("attr", int(v), 0, last[1])
+            return ("attr", v, None, last[1])
         return None
     if tag == "bin":
         left = _resolve_expr(expr[2], env)
@@ -1089,6 +1093,26 @@ def _resolve_expr(expr: Expr, env: dict[str, Any]) -> Optional[tuple]:
     return None
 
 
+def lower_expr(
+    node: ast.AST, local_exprs: dict[str, Expr], env: dict[str, Any],
+) -> tuple[Expr, Optional[tuple]]:
+    """The AST pass's value model of one expression, symbolic and resolved.
+
+    Lowers ``node`` exactly as the pass lowers write values and ``if``
+    tests, with ``local_exprs`` giving the symbolic tree of each local in
+    scope (``None`` for a local the model cannot follow), then resolves
+    the tree against ``env`` (see :func:`root_env`).  Returns ``(symbolic,
+    resolved)``: the symbolic tree is what a caller records when it binds
+    a local; the resolved tree is what
+    :func:`repro.analysis.dataflow.transfer.eval_expr` evaluates.
+    """
+    analyzer = _Analyzer(FnSummary())
+    analyzer.env = {name: _Scope(None, frozenset(), expr)
+                    for name, expr in local_exprs.items()}
+    expr = analyzer.expr_of(node)
+    return expr, _resolve_expr(expr, env)
+
+
 class _Resolver:
     """Applies a symbolic summary to one concrete function instance."""
 
@@ -1110,10 +1134,7 @@ class _Resolver:
         if key in self._seen:
             return self.out
         self._seen.add(key)
-        env = _root_env(fn)
-        bound_self = getattr(fn, "__self__", None)
-        if bound_self is not None:
-            env["self"] = bound_self  # the receiver always wins over globals
+        env = root_env(fn)
         if bindings:
             env.update(bindings)  # caller-resolved arguments (inlining)
         out = self.out
@@ -1447,14 +1468,20 @@ def closure_of(fn: Callable[..., Any]) -> ProcClosure:
 
 
 __all__ = [
+    "BIN_EXPR_OPS",
+    "CMP_EXPR_OPS",
     "Chain",
     "Expr",
     "FnSummary",
     "ProcClosure",
     "ResolvedFn",
     "ResolvedWrite",
+    "UN_EXPR_OPS",
     "WriteSite",
     "closure_of",
+    "find_def",
+    "lower_expr",
     "resolve",
+    "root_env",
     "summarize",
 ]

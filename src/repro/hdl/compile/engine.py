@@ -91,15 +91,14 @@ class CompiledSimulator(Simulator):
         self,
         top: Component,
         max_settle: int = MAX_SETTLE_ITERATIONS,
-        scheduler: str = "event",
         wheel: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "compiled",
     ):
         t0 = time.perf_counter()
         # Elaborate exactly like the event kernel (signals claimed onto our
         # pending list, fanouts cleared); the scheduler machinery it sets up
         # stays unused because every phase entry point is overridden here.
-        super().__init__(top, max_settle=max_settle, scheduler="event", wheel=wheel)
+        super().__init__(top, max_settle=max_settle, wheel=wheel)
         self.backend = "compiled"
         self._needs_discovery = False  # keeps fast_forward_limit() live
         #: the last edge (or reset) may have changed state outside the
@@ -116,6 +115,7 @@ class CompiledSimulator(Simulator):
         self._executors = executors
         hoist = Hoister()
         closures: dict = {}
+        order = {sig: i for i, sig in enumerate(self.top.all_signals())}
         #: range-informed codegen counters, shared across all Translators
         tx_stats: dict = {"masks_elided": 0, "branches_folded": 0}
 
@@ -132,7 +132,7 @@ class CompiledSimulator(Simulator):
                              wheeled=p.wheeled, always=p.always)
                 )
                 continue
-            sigs, hidden, wake = guard_reads(closure)
+            sigs, hidden, wake = guard_reads(closure, order)
             body = Translator(p.fn, closure, hoist, stats=tx_stats).translate()
             plan = CombPlan(
                 fn=p.fn,
@@ -170,7 +170,7 @@ class CompiledSimulator(Simulator):
                 and (sp.pure or not closure.writes)
             )
             if guardable:
-                sigs, hidden, _wake = guard_reads(closure)
+                sigs, hidden, _wake = guard_reads(closure, order)
                 body = Translator(sp.fn, closure, hoist,
                                   stats=tx_stats).translate()
                 seq_plans.append(

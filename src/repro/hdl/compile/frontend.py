@@ -18,7 +18,12 @@ the generated module uses:
 The dependence closures come from the lint AST pass
 (:func:`repro.analysis.lint.astpass.closure_of`) — one front end shared by
 static analysis and codegen, so a process lint can reason about is also a
-process the compiler can specialize.
+process the compiler can specialize.  So do the value facts behind mask
+elision and branch folding: the translator lowers each stored value and
+``if`` test into the lint pass's ``Expr`` tree
+(:func:`~repro.analysis.lint.astpass.lower_expr`) and evaluates it with
+:func:`~repro.analysis.dataflow.transfer.eval_expr` under a width-only
+leaf policy — one abstract evaluator for lint and codegen.
 """
 
 from __future__ import annotations
@@ -27,10 +32,20 @@ import ast
 import enum
 import inspect
 import textwrap
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from ...analysis.dataflow import domain as _dom
-from ...analysis.lint.astpass import ProcClosure, _find_def, _root_env, closure_of
+from ...analysis.dataflow.transfer import eval_expr, int_typed, width_only
+from ...analysis.lint.astpass import (
+    BIN_EXPR_OPS,
+    CMP_EXPR_OPS,
+    UN_EXPR_OPS,
+    Expr,
+    ProcClosure,
+    closure_of,
+    find_def,
+    lower_expr,
+    root_env,
+)
 from ..components import Stream
 from ..signal import Reg, Signal
 from ..signal import tracking as _signal_tracking
@@ -60,7 +75,7 @@ def _immutable_value(value: Any) -> bool:
 _MISSING = object()
 
 
-def _constant_load(owner: Any, value: Any) -> bool:
+def _constant_load(owner: Any) -> bool:
     """True when ``owner.attr`` can never change for the design's lifetime.
 
     An immutable *value* still changes if the attribute is rebound to a
@@ -171,7 +186,7 @@ def _pollable_hidden(
                 continue
             wake |= getter_reads
         if _immutable_value(value):
-            if not _constant_load(owner, value):
+            if not _constant_load(owner):
                 polled.append((owner, attr, "value"))
         else:
             polled.append((owner, attr, "snap"))
@@ -192,6 +207,7 @@ def guard_eligible(closure: ProcClosure) -> bool:
 
 def guard_reads(
     closure: ProcClosure,
+    order: Mapping[Signal, int],
 ) -> tuple[list[Signal], list[tuple[Any, str, str]], list[Signal]]:
     """The inputs of a guard: (signals, hidden loads, extra wake signals).
 
@@ -199,12 +215,20 @@ def guard_reads(
     signals read inside property getters on the navigation path (see
     :func:`_pollable_hidden`) — they join the guard's wake set but not
     its poll tuple, since the polled property value already reflects
-    them.  Deterministically ordered so generated source is stable.
+    them.  Ordered only by what the design fixes, never by memory
+    address, so generated source is stable across processes: signals by
+    hierarchical name, then elaboration position (``order``); hidden
+    loads by attribute name, then the closure's resolution order, which
+    follows the process source.
     """
     polled, wake = _pollable_hidden(closure) or ([], set())
-    sigs = sorted(closure.reads, key=lambda s: (s.name, id(s)))
-    hidden = sorted(polled, key=lambda entry: (entry[1], id(entry[0])))
-    extra = sorted(wake - set(closure.reads), key=lambda s: (s.name, id(s)))
+
+    def sig_key(sig: Signal) -> tuple[str, int]:
+        return sig.name, order.get(sig, -1)
+
+    sigs = sorted(closure.reads, key=sig_key)
+    hidden = sorted(polled, key=lambda entry: entry[1])
+    extra = sorted(wake - set(closure.reads), key=sig_key)
     return sigs, hidden, extra
 
 
@@ -230,15 +254,10 @@ class Translator:
         self.fn = fn
         self.closure = closure
         self.hoist = hoist
-        self.env = _root_env(fn)
-        bound = getattr(fn, "__self__", None)
-        if bound is not None:
-            self.env["self"] = bound
-        self.locals: set[str] = set()
-        #: width-only abstract value per local: (AbstractValue, is_int) or
-        #: None once a conditional rebind makes the flow-insensitive value
-        #: stale.  Feeds mask elision and branch folding; see _abs_eval.
-        self._abs_locals: dict[str, Optional[tuple]] = {}
+        self.env = root_env(fn)
+        #: bound locals → their lint-model value tree; None once a
+        #: conditional rebind makes the flow-insensitive tree stale
+        self.locals: dict[str, Expr] = {}
         self._depth = 0
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("masks_elided", 0)
@@ -258,7 +277,7 @@ class Translator:
         try:
             src = textwrap.dedent(inspect.getsource(self.fn))
             tree = ast.parse(src)
-            node = _find_def(tree, code.co_name, code.co_firstlineno)
+            node = find_def(tree, code.co_name, code.co_firstlineno)
             if node is None or isinstance(node, ast.Lambda):
                 return None
             lines: list[str] = []
@@ -323,14 +342,14 @@ class Translator:
         if isinstance(node, ast.Call):
             return self._tx_call(node, test)
         if isinstance(node, ast.BinOp):
-            op = _BINOPS.get(type(node.op))
+            op = BIN_EXPR_OPS.get(type(node.op))
             if op is None:
                 raise Untranslatable("binop")
             left = self._tx_expr(node.left)
             right = self._tx_expr(node.right)
             return f"({left} {op} {right})"
         if isinstance(node, ast.UnaryOp):
-            op = _UNARYOPS.get(type(node.op))
+            op = UN_EXPR_OPS.get(type(node.op))
             if op is None:
                 raise Untranslatable("unaryop")
             operand = self._tx_expr(node.operand, test=isinstance(node.op, ast.Not))
@@ -341,7 +360,7 @@ class Translator:
         if isinstance(node, ast.Compare):
             parts = [self._tx_expr(node.left)]
             for cmp_op, comparator in zip(node.ops, node.comparators):
-                op = _CMPOPS.get(type(cmp_op))
+                op = CMP_EXPR_OPS.get(type(cmp_op))
                 if op is None:
                     raise Untranslatable("compare op")
                 parts.append(op)
@@ -396,12 +415,6 @@ class Translator:
         if node.keywords:
             raise Untranslatable("call keywords")
         func = node.func
-        if isinstance(func, ast.Name):
-            fn = self._resolve(func)
-            if fn in (int, bool, abs, len, min, max) and len(node.args) >= 1:
-                args = ", ".join(self._tx_expr(a) for a in node.args)
-                return f"{fn.__name__}({args})"
-            raise Untranslatable("free call")
         if not isinstance(func, ast.Attribute):
             raise Untranslatable("call shape")
         name = func.attr
@@ -429,179 +442,47 @@ class Translator:
             return expr if test else f"bool{expr}"
         raise Untranslatable(f"method call .{name}")
 
-    # -- width-only abstract evaluation ---------------------------------------
+    # -- width-only value facts ----------------------------------------------
     #
     # The value facts the code generator is allowed to use are strictly
-    # WEAKER than the lint fixpoint's: a signal read contributes only its
-    # width bound [0, mask].  Width bounds hold unconditionally — every
-    # kernel write path (set/stage/force/warp) masks, so even SEU
-    # injection and checkpoint restores cannot violate them — which is
-    # what keeps the specialized module cycle- and VCD-identical under
-    # fault campaigns that would invalidate the fixpoint's tighter ranges.
+    # WEAKER than the lint fixpoint's: each expression is lowered with the
+    # lint pass's own value model and evaluated by the shared abstract
+    # evaluator, but a signal read contributes only its width bound
+    # [0, mask].  Width bounds hold unconditionally — every kernel write
+    # path (set/stage/force/warp) masks, so even SEU injection and
+    # checkpoint restores cannot violate them — which is what keeps the
+    # specialized module cycle- and VCD-identical under fault campaigns
+    # that would invalidate the fixpoint's tighter ranges.
 
-    def _abs_eval(self, node: ast.AST) -> Optional[tuple]:
-        """``(AbstractValue, is_int)`` for a translatable expression.
+    def _lower(self, node: ast.AST) -> tuple[Expr, Optional[tuple]]:
+        return lower_expr(node, self.locals, self.env)
 
-        ``is_int`` asserts the evaluated Python object is an ``int`` (not a
-        ``bool``) — mask elision must not change the stored object, and the
-        event kernel's ``int(value) & mask`` always commits an ``int``.
-        Returns None when no sound claim can be made.
-        """
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return _dom.const(int(node.value)), False
-            if isinstance(node.value, int):
-                return _dom.const(node.value), True
-            return None
-        if isinstance(node, (ast.Name, ast.Subscript)):
-            if isinstance(node, ast.Name) and node.id in self.locals:
-                return self._abs_locals.get(node.id)
-            try:
-                obj = self._resolve(node)
-            except Untranslatable:
-                return None
-            return self._abs_object(obj)
-        if isinstance(node, ast.Attribute):
-            return self._abs_attribute(node)
-        if isinstance(node, ast.Call):
-            return self._abs_call(node)
-        if isinstance(node, ast.BinOp):
-            fn = _ABS_BINOPS.get(type(node.op))
-            left = self._abs_eval(node.left)
-            right = self._abs_eval(node.right)
-            if fn is None or left is None or right is None:
-                return None
-            return fn(left[0], right[0]), left[1] and right[1]
-        if isinstance(node, ast.UnaryOp):
-            operand = self._abs_eval(node.operand)
-            if operand is None:
-                return None
-            if isinstance(node.op, ast.UAdd):
-                return operand
-            if isinstance(node.op, ast.USub):
-                return _dom.neg(operand[0]), operand[1]
-            if isinstance(node.op, ast.Invert):
-                return _dom.invert(operand[0]), operand[1]
-            if isinstance(node.op, ast.Not):
-                return _dom.logical_not(operand[0]), False
-            return None
-        if isinstance(node, ast.Compare) and len(node.ops) == 1:
-            op = _CMPOPS.get(type(node.ops[0]))
-            left = self._abs_eval(node.left)
-            right = self._abs_eval(node.comparators[0])
-            if op is None or left is None or right is None:
-                return None
-            return _dom.compare(op, left[0], right[0]), False
-        if isinstance(node, ast.BoolOp):
-            arms = [self._abs_eval(v) for v in node.values]
-            if any(a is None for a in arms):
-                return None
-            # the result is some arm's value, or 0 from a falsy short
-            # circuit — join them all with 0 (conservative but sound)
-            av = _dom.const(0)
-            for a in arms:
-                av = _dom.join(av, a[0])
-            return av, all(a[1] for a in arms)
-        if isinstance(node, ast.IfExp):
-            a = self._abs_eval(node.body)
-            b = self._abs_eval(node.orelse)
-            if a is None or b is None:
-                return None
-            return _dom.join(a[0], b[0]), a[1] and b[1]
-        return None
-
-    def _abs_object(self, obj: Any) -> Optional[tuple]:
-        if isinstance(obj, Signal):
-            if obj.width is None:
-                return None
-            return _dom.top(obj.width), True
-        if isinstance(obj, bool):
-            return _dom.const(int(obj)), False
-        if isinstance(obj, int):
-            return _dom.const(obj), True
-        return None
-
-    def _abs_attribute(self, node: ast.Attribute) -> Optional[tuple]:
-        if node.attr in ("value", "nxt"):
-            try:
-                sig = self._resolve(node.value)
-            except Untranslatable:
-                return None
-            if isinstance(sig, Signal) and sig.width is not None:
-                return _dom.top(sig.width), True
-            return None
-        # hidden attribute loads are emitted as *runtime* loads so
-        # rebinding stays observable — only a rebind-proof owner (enum
-        # class, frozen dataclass) makes the compile-time value a fact
-        try:
-            owner = self._resolve(node.value)
-            obj = getattr(owner, node.attr)
-        except Exception:
-            return None
-        if isinstance(obj, (bool, int)) and _constant_load(owner, obj):
-            return _dom.const(int(obj)), not isinstance(obj, bool)
-        return None
-
-    def _abs_call(self, node: ast.Call) -> Optional[tuple]:
-        if node.keywords:
-            return None
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr == "bit" and len(node.args) == 1:
-                return _dom.interval(0, 1), True
-            if func.attr == "bits" and len(node.args) == 2:
-                try:
-                    hi = self._const_int(node.args[0])
-                    lo = self._const_int(node.args[1])
-                except Untranslatable:
-                    return None
-                return _dom.interval(0, (1 << (hi - lo + 1)) - 1), True
-            return None
-        if not isinstance(func, ast.Name):
-            return None
-        try:
-            fn = self._resolve(func)
-        except Untranslatable:
-            return None
-        args = [self._abs_eval(a) for a in node.args]
-        if any(a is None for a in args):
-            return None
-        if fn is int and len(args) == 1:
-            return args[0][0], True
-        if fn is bool and len(args) == 1:
-            av = args[0][0].truthiness()
-            if av is None:
-                return _dom.interval(0, 1), False
-            return _dom.const(int(av)), False
-        if fn is abs and len(args) == 1:
-            return _dom.absolute(args[0][0]), args[0][1]
-        if fn in (min, max) and len(args) >= 2:
-            combine = _dom.minimum if fn is min else _dom.maximum
-            av = args[0][0]
-            for a in args[1:]:
-                av = combine(av, a[0])
-            return av, all(a[1] for a in args)
-        return None
-
-    def _bind_abs(self, name: str, value: Optional[tuple]) -> None:
+    def _bind(self, name: str, node: ast.AST) -> None:
         # flow-insensitive soundness: a binding under a conditional may or
-        # may not happen, so the local's abstract value becomes unknown
-        self._abs_locals[name] = value if self._depth == 0 else None
+        # may not happen, so the local's value tree becomes unknown
+        self.locals[name] = self._lower(node)[0] if self._depth == 0 else None
+
+    def _load(self, sig: Signal, expr: str, node: ast.AST) -> str:
+        """``_v = <expr>`` under the kernel's width mask, elided when moot.
+
+        The event kernel commits ``int(value) & mask``; the mask may go
+        only when the value is provably an ``int`` (not a ``bool``) inside
+        ``[0, mask]``, so the committed object is unchanged.
+        """
+        if sig._mask is None:
+            return f"_v = {expr}"
+        tree = self._lower(node)[1]
+        av = eval_expr(tree, width_only, _rebind_proof)
+        if av is not None and av.fits(sig._mask) and int_typed(tree):
+            self.stats["masks_elided"] += 1
+            return f"_v = {expr}"
+        return f"_v = int({expr}) & {sig._mask}"
 
     # -- statements -----------------------------------------------------------
 
-    def _store_signal(self, sig: Signal, expr: str,
-                      node: Optional[ast.AST] = None) -> list[str]:
+    def _store_signal(self, sig: Signal, node: ast.AST) -> list[str]:
+        load = self._load(sig, self._tx_expr(node), node)
         h = self.hoist(sig)
-        load = f"_v = int({expr}) & {sig._mask}"
-        if sig._mask is None:
-            load = f"_v = {expr}"
-        elif node is not None:
-            av = self._abs_eval(node)
-            if av is not None and av[1] and av[0].fits(sig._mask):
-                # the committed value is provably the expression itself
-                load = f"_v = {expr}"
-                self.stats["masks_elided"] += 1
         return [
             load,
             f"if _v != {h}._value:",
@@ -610,17 +491,9 @@ class Translator:
             f"    _CHG.append({h})",
         ]
 
-    def _stage_reg(self, reg: Reg, expr: str,
-                   node: Optional[ast.AST] = None) -> list[str]:
+    def _stage_reg(self, reg: Reg, node: ast.AST) -> list[str]:
+        load = self._load(reg, self._tx_expr(node), node)
         h = self.hoist(reg)
-        load = f"_v = int({expr}) & {reg._mask}"
-        if reg._mask is None:
-            load = f"_v = {expr}"
-        elif node is not None:
-            av = self._abs_eval(node)
-            if av is not None and av[1] and av[0].fits(reg._mask):
-                load = f"_v = {expr}"
-                self.stats["masks_elided"] += 1
         return [
             load,
             f"if {h}._staged is _U:",
@@ -647,61 +520,47 @@ class Translator:
                 sig = self._resolve(call.func.value)
                 if not isinstance(sig, Signal):
                     raise Untranslatable(".set on non-signal")
-                return self._store_signal(sig, self._tx_expr(call.args[0]),
-                                          call.args[0])
+                return self._store_signal(sig, call.args[0])
             if name == "stage" and len(call.args) == 1 and not call.keywords:
                 reg = self._resolve(call.func.value)
                 if not isinstance(reg, Reg):
                     raise Untranslatable(".stage on non-reg")
-                return self._stage_reg(reg, self._tx_expr(call.args[0]),
-                                       call.args[0])
+                return self._stage_reg(reg, call.args[0])
             raise Untranslatable(f"statement call .{name}")
         if isinstance(stmt, ast.Assign):
             if len(stmt.targets) != 1:
                 raise Untranslatable("chained assignment")
             target = stmt.targets[0]
             if isinstance(target, ast.Name):
-                abs_val = self._abs_eval(stmt.value)
                 expr = self._tx_expr(stmt.value)
-                self.locals.add(target.id)
-                self._bind_abs(target.id, abs_val)
+                self._bind(target.id, stmt.value)
                 return [f"_L_{target.id} = {expr}"]
             if isinstance(target, ast.Attribute) and target.attr == "nxt":
                 reg = self._resolve(target.value)
                 if not isinstance(reg, Reg):
                     raise Untranslatable(".nxt on non-reg")
-                return self._stage_reg(reg, self._tx_expr(stmt.value),
-                                       stmt.value)
+                return self._stage_reg(reg, stmt.value)
             raise Untranslatable("assignment target")
         if isinstance(stmt, ast.AnnAssign):
             if not isinstance(stmt.target, ast.Name) or stmt.value is None:
                 raise Untranslatable("annotated assignment")
-            abs_val = self._abs_eval(stmt.value)
             expr = self._tx_expr(stmt.value)
-            self.locals.add(stmt.target.id)
-            self._bind_abs(stmt.target.id, abs_val)
+            self._bind(stmt.target.id, stmt.value)
             return [f"_L_{stmt.target.id} = {expr}"]
         if isinstance(stmt, ast.AugAssign):
             if not isinstance(stmt.target, ast.Name) \
                     or stmt.target.id not in self.locals:
                 raise Untranslatable("augmented target")
-            op = _BINOPS.get(type(stmt.op))
+            op = BIN_EXPR_OPS.get(type(stmt.op))
             if op is None:
                 raise Untranslatable("augmented op")
             name = stmt.target.id
-            base = self._abs_locals.get(name)
-            rhs = self._abs_eval(stmt.value)
-            fn = _ABS_BINOPS.get(type(stmt.op))
-            if base is not None and rhs is not None and fn is not None:
-                self._bind_abs(name, (fn(base[0], rhs[0]),
-                                      base[1] and rhs[1]))
-            else:
-                self._bind_abs(name, None)
             expr = self._tx_expr(stmt.value)
+            self._bind(name, ast.BinOp(stmt.target, stmt.op, stmt.value))
             return [f"_L_{name} = _L_{name} {op} ({expr})"]
         if isinstance(stmt, ast.If):
-            av = self._abs_eval(stmt.test)
-            verdict = av[0].truthiness() if av is not None else None
+            av = eval_expr(self._lower(stmt.test)[1], width_only, _rebind_proof)
+            verdict = av.truthiness() if av is not None else None
             if verdict is not None:
                 # the guard is decided by width bounds and rebind-proof
                 # constants alone — fold the dead arm away entirely
@@ -732,27 +591,13 @@ class Translator:
         raise Untranslatable(type(stmt).__name__)
 
 
-_BINOPS: dict[type, str] = {
-    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
-    ast.Mod: "%", ast.LShift: "<<", ast.RShift: ">>",
-    ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
-}
+def _rebind_proof(owner: Any, name: str) -> bool:
+    """Leaf policy for constants: which loads are compile-time facts.
 
-_UNARYOPS: dict[type, str] = {
-    ast.USub: "-", ast.UAdd: "+", ast.Invert: "~", ast.Not: "not",
-}
-
-_CMPOPS: dict[type, str] = {
-    ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
-    ast.Gt: ">", ast.GtE: ">=",
-}
-
-#: abstract transfer functions for the width-only evaluator
-_ABS_BINOPS: dict[type, Any] = {
-    ast.Add: _dom.add, ast.Sub: _dom.sub, ast.Mult: _dom.mul,
-    ast.FloorDiv: _dom.floordiv, ast.Mod: _dom.mod,
-    ast.LShift: _dom.lshift, ast.RShift: _dom.rshift,
-    ast.BitAnd: _dom.bitand, ast.BitOr: _dom.bitor, ast.BitXor: _dom.bitxor,
-}
-
-
+    Global/closure names and constant subscripts are inlined into the
+    generated code as the value seen now, so that value is the fact.
+    Attribute loads are emitted as *runtime* loads so rebinding stays
+    observable — only a rebind-proof owner (see :func:`_constant_load`)
+    makes the compile-time value a fact.
+    """
+    return owner is None or name == "[]" or _constant_load(owner)

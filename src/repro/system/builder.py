@@ -46,8 +46,7 @@ class SystemBuilder:
         self._upstream: Optional[ChannelSpec] = None
         self._registry: Optional[UnitRegistry] = None
         self._unit_codes: Optional[Sequence[int]] = None
-        self._scheduler: str = "event"
-        self._backend: Optional[str] = None
+        self._backend: str = "event"
         self._wheel: bool = True
         self._engine_window: Optional[int] = None
         self._downstream_faults: Optional[FaultSpec] = None
@@ -83,24 +82,16 @@ class SystemBuilder:
         self._engine_window = window
         return self
 
-    def with_scheduler(self, scheduler: str) -> "SystemBuilder":
-        """Select the settle scheduler (``"event"`` or ``"exhaustive"``).
-
-        Both are cycle-exact; the exhaustive reference kernel exists as the
-        equivalence oracle and microbenchmark baseline.
-        """
-        self._scheduler = scheduler
-        return self
-
-    def with_backend(self, backend: Optional[str]) -> "SystemBuilder":
+    def with_backend(self, backend: str) -> "SystemBuilder":
         """Select the simulation backend for the built system.
 
-        ``None`` (default) keeps the :meth:`with_scheduler` choice;
-        ``"event"``/``"exhaustive"`` are aliases for the corresponding
-        scheduler; ``"compiled"`` selects the codegen backend
-        (:mod:`repro.hdl.compile`), which flattens the elaborated graph
-        into specialized straight-line Python.  Every backend is
-        cycle-exact and produces identical traces.
+        ``"event"`` (default) is the dependency-tracked interpreted
+        kernel; ``"exhaustive"`` is the reference kernel, kept as the
+        equivalence oracle and microbenchmark baseline; ``"compiled"``
+        selects the codegen backend (:mod:`repro.hdl.compile`), which
+        flattens the elaborated graph into specialized straight-line
+        Python.  Every backend is cycle-exact and produces identical
+        traces.
         """
         self._backend = backend
         return self
@@ -112,7 +103,7 @@ class SystemBuilder:
         when every armed process certifies pure aging); turning it off
         forces every edge to execute, which the equivalence suites use to
         cross-check the fast-forward path.  Ignored by the exhaustive
-        scheduler, which always steps every cycle.
+        backend, which always steps every cycle.
         """
         self._wheel = bool(enabled)
         return self
@@ -265,7 +256,6 @@ class SystemBuilder:
         )
         sim = Simulator(
             soc,
-            scheduler=self._scheduler,
             wheel=self._wheel,
             backend=self._backend,
         )
@@ -301,7 +291,6 @@ def build_system(
     channel: ChannelSpec = INTEGRATED,
     registry: Optional[UnitRegistry] = None,
     unit_codes: Optional[Sequence[int]] = None,
-    scheduler: str = "event",
     window: Optional[int] = None,
     faults: Optional[FaultSpec] = None,
     upstream_faults: Optional[FaultSpec] = None,
@@ -310,7 +299,7 @@ def build_system(
     reliable: bool = False,
     wheel: bool = True,
     lint: str = "warn",
-    backend: Optional[str] = None,
+    backend: str = "event",
     ooo: bool = False,
     ooo_window: Optional[int] = None,
     fp_units: bool = False,
@@ -328,17 +317,17 @@ def build_system(
     either way — the off switch exists for equivalence cross-checks);
     ``lint`` sets the design-rule check posture (``"warn"`` default,
     ``"error"`` to raise on violations, ``"off"`` to skip — see
-    :mod:`repro.analysis.lint`); ``backend="compiled"`` selects the
-    codegen simulation backend (:mod:`repro.hdl.compile` — cycle-exact,
-    identical traces); ``ooo=True`` swaps in the out-of-order issue
-    engine with register renaming (``ooo_window`` sizes its issue
-    queue); ``fp_units=True`` adds the pipelined floating-point family
-    on top of whatever registry is in effect.
+    :mod:`repro.analysis.lint`); ``backend`` selects the simulation
+    kernel — ``"event"`` (default), the ``"exhaustive"`` reference or
+    the ``"compiled"`` codegen backend (:mod:`repro.hdl.compile`), all
+    cycle-exact with identical traces; ``ooo=True`` swaps in the
+    out-of-order issue engine with register renaming (``ooo_window``
+    sizes its issue queue); ``fp_units=True`` adds the pipelined
+    floating-point family on top of whatever registry is in effect.
     """
     builder = (
         SystemBuilder(config)
         .with_channel(channel)
-        .with_scheduler(scheduler)
         .with_backend(backend)
         .with_wheel(wheel)
         .with_lint(lint)

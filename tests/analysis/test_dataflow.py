@@ -9,6 +9,8 @@ facts the compiled backend consumes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -247,4 +249,102 @@ def test_elision_preserves_observable_state():
         sim.step(40)
         return top.a.value, top.b.value, sim.now
 
-    assert run(None) == run("compiled")
+    assert run("event") == run("compiled")
+
+
+@dataclass(frozen=True)
+class _Frozen:
+    """Rebind-proof owner: its fields are compile-time facts."""
+
+    enabled: bool = True
+    level: int = 3
+
+
+class _BoolStores(Component):
+    """Bool-valued stores into 1-bit nets: each fits, none is an ``int``."""
+
+    def __init__(self) -> None:
+        super().__init__("bools")
+        self.cfg = _Frozen()
+        self.a = self.signal("a", 4, 0)
+        self.lit = self.signal("lit", 1, 0)
+        self.cmp = self.signal("cmp", 1, 0)
+        self.flag = self.signal("flag", 1, 0)
+
+        @self.comb
+        def _drive() -> None:
+            self.lit.set(True)
+            self.cmp.set(self.a.value > 3)
+            self.flag.set(self.cfg.enabled)
+
+        self.seq(lambda: None)
+
+
+def test_bool_stores_keep_their_mask_and_commit_ints():
+    commits = {}
+    for backend in ("event", "compiled"):
+        top = _BoolStores()
+        sim = Simulator(top, backend=backend)
+        sim.reset()
+        top.a.set(9)
+        sim.step()
+        commits[backend] = [(type(s.value), s.value)
+                            for s in (top.lit, top.cmp, top.flag)]
+        if backend == "compiled":
+            assert sim.kernel_stats.masks_elided == 0
+            assert sim.generated_source.count("int(") >= 3
+    assert commits["event"] == commits["compiled"] == [(int, 1)] * 3
+
+
+class _Mutable:
+    """Plain object: ``level`` may be rebound while the design runs."""
+
+    def __init__(self) -> None:
+        self.level = 3
+
+
+class _Knobs(Component):
+    """Int attributes feeding a store and a branch, mutable or frozen."""
+
+    def __init__(self, frozen: bool) -> None:
+        super().__init__("knobs")
+        self.knobs = _Frozen() if frozen else _Mutable()
+        self.a = self.signal("a", 8, 0)
+        self.y = self.signal("y", 8, 0)
+        self.z = self.signal("z", 8, 0)
+
+        @self.comb
+        def _drive() -> None:
+            self.y.set(self.knobs.level)
+            if self.knobs.level:
+                self.z.set(self.a.value)
+            else:
+                self.z.set(0)
+
+        self.seq(lambda: None)
+
+
+def test_mutable_int_attribute_never_folds_or_elides():
+    masked_knob = ".level) & 255"  # the y store keeps the kernel's mask
+    sim = Simulator(_Knobs(frozen=False), backend="compiled")
+    assert sim.kernel_stats.branches_folded == 0
+    assert masked_knob in sim.generated_source
+    # the contrast: the same constant on a frozen dataclass is a fact
+    sim = Simulator(_Knobs(frozen=True), backend="compiled")
+    assert sim.kernel_stats.branches_folded == 1
+    assert masked_knob not in sim.generated_source
+
+    outs = {}
+    for backend in ("event", "compiled"):
+        top = _Knobs(frozen=False)
+        sim = Simulator(top, backend=backend)
+        sim.reset()
+        top.knobs.level = 300  # rebound: wider than y, and no longer 3
+        top.a.set(7)
+        sim.step()
+        outs[backend] = (top.y.value, top.z.value)
+        top.knobs.level = 0
+        top.a.set(8)
+        sim.step()
+        outs[backend] += (top.y.value, top.z.value)
+    assert outs["event"] == outs["compiled"] == (300 & 0xFF, 7, 0, 0)

@@ -130,10 +130,10 @@ class TestBackendParity:
     def test_compiled_matches_event(self, seed):
         spec = StateFaultSpec(seed=seed, flip_rate=0.3)
         results = {}
-        for backend in (None, "compiled"):
+        for backend in ("event", "compiled"):
             out, built, _ = _run(state_faults=spec, backend=backend)
             assert out == BASE
             stats = built.soc.state_domain.stats
             results[backend] = (stats.injected_single, stats.injected_double,
                                 stats.corrected, stats.uncorrectable)
-        assert results[None] == results["compiled"]
+        assert results["event"] == results["compiled"]

@@ -7,6 +7,11 @@ diagnostics and recovery, reset, the vectorized cell-array executors,
 and the codegen counters surfaced through ``KernelStats``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.hdl import (
@@ -16,6 +21,7 @@ from repro.hdl import (
     Simulator,
 )
 from repro.hdl.compile.engine import CompiledSimulator
+from repro.hdl.compile.frontend import closure_of, guard_reads
 
 
 class AdderChain(Component):
@@ -73,6 +79,58 @@ class MutableHidden(Component):
         self.seq(lambda: None)
 
 
+class BuiltinCall(Component):
+    """Comb proc calls a builtin: lint models it, the emitter does not."""
+
+    def __init__(self):
+        super().__init__("mn")
+        self.a = self.signal("a", 8, 0)
+        self.b = self.signal("b", 8, 0)
+        self.y = self.signal("y", 8, 0)
+
+        @self.comb
+        def _min():
+            self.y.set(min(self.a.value, self.b.value))
+
+        self.seq(lambda: None)
+
+
+class _Flag:
+    """Plain helper object whose method reads a hidden attribute."""
+
+    def __init__(self):
+        self.ready = 1
+
+    def ok(self) -> int:
+        return self.ready
+
+
+class TwoFlags(Component):
+    """Guard inputs that tie on every name-based key.
+
+    Both helpers' ``ready`` loads have the same attribute and the same
+    source text (``self.ready`` inside ``_Flag.ok``), and both lanes'
+    signals have the same hierarchical name.  ``first`` picks which
+    helper is allocated first, so an address-based order would flip.
+    """
+
+    def __init__(self, first="fa"):
+        super().__init__("flags")
+        order = ("fa", "fb") if first == "fa" else ("fb", "fa")
+        made = {name: _Flag() for name in order}
+        self.fa, self.fb = made["fa"], made["fb"]
+        self.lanes = [Component("lane", parent=self) for _ in range(2)]
+        self.vs = [lane.signal("v", 8, 0) for lane in self.lanes]
+        self.y = self.signal("y", 8, 0)
+
+        @self.comb
+        def _gate():
+            if self.fa.ok() and self.fb.ok():
+                self.y.set(self.vs[0].value ^ self.vs[1].value)
+
+        self.seq(lambda: None)
+
+
 def _pair(make):
     """(event sim, compiled sim) over two fresh instances of a design."""
     t_event, t_comp = make(), make()
@@ -87,7 +145,7 @@ class TestBackendSelection:
 
     def test_aliases_and_unknown_backend(self):
         assert Simulator(AdderChain(), backend="event").backend == "event"
-        assert Simulator(AdderChain(), backend="exhaustive").scheduler == "exhaustive"
+        assert Simulator(AdderChain(), backend="exhaustive").backend == "exhaustive"
         with pytest.raises(SimulationError):
             Simulator(AdderChain(), backend="tpu")
 
@@ -196,6 +254,53 @@ class TestFallbacks:
             assert te.out.value == tc.out.value
 
 
+    def test_builtin_call_is_guarded_not_translated(self):
+        (te, se), (tc, sc) = _pair(BuiltinCall)
+        kinds = {p.fn.__name__: p.kind for p in sc._comb_plans}
+        assert kinds["_min"] == "guarded"
+        assert "min(" not in sc.generated_source
+        for sim in (se, sc):
+            sim.reset()
+        for a, b in ((9, 4), (2, 200), (255, 255)):
+            for top, sim in ((te, se), (tc, sc)):
+                top.a.set(a)
+                top.b.set(b)
+                sim.step()
+            assert te.y.value == tc.y.value == min(a, b)
+
+
+class TestDeterministicCodegen:
+    def test_guard_order_is_fixed_by_the_design(self):
+        for first in ("fa", "fb"):
+            top = TwoFlags(first)
+            order = {sig: i for i, sig in enumerate(top.all_signals())}
+            fn = top.comb_procs[0]
+            sigs, hidden, _wake = guard_reads(closure_of(fn), order)
+            # signals: hierarchical name, then elaboration position
+            assert sigs == top.vs
+            # hidden loads: attribute name, then source order of the calls
+            assert [owner for owner, _attr, _mode in hidden] == [top.fa, top.fb]
+
+    def test_guard_order_independent_of_hash_seed(self):
+        # the resolver walks sets of source chains; string hashing must
+        # not leak into the order hidden loads are discovered in
+        script = (
+            "from repro.hdl.compile.frontend import closure_of, guard_reads\n"
+            "from tests.hdl.test_compile import TwoFlags\n"
+            "top = TwoFlags()\n"
+            "_, hidden, _ = guard_reads(closure_of(top.comb_procs[0]), {})\n"
+            "print(' '.join('fa' if o is top.fa else 'fb' for o, _, _ in hidden))\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        path = os.pathsep.join([str(root / "src"), str(root)])
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 cwd=root, capture_output=True, text=True,
+                                 check=True)
+            assert out.stdout.split() == ["fa", "fb"], seed
+
+
 class TestLoopsAndReset:
     def test_comb_loop_detected_and_recoverable(self):
         class Osc(Component):
@@ -256,7 +361,7 @@ class TestVectorizedCellArrays:
 
         values = [44, 7, 99, 23, 61, 5, 80, 12]
         outcomes = set()
-        for backend in (None, "compiled"):
+        for backend in ("event", "compiled"):
             for kind in ("vector", "structural"):
                 m = DirectXiSortMachine(8, array_kind=kind, backend=backend)
                 outcomes.add((tuple(m.sort(values)), m.cycles))

@@ -38,16 +38,16 @@ def _dual_trace(build, drive, reset: bool = True):
     claimed by its simulator).  ``drive(sim, top)`` applies the stimulus.
     """
     traces = {}
-    for scheduler in SCHEDULERS:
+    for backend in SCHEDULERS:
         top = build()
-        sim = Simulator(top, scheduler=scheduler)
+        sim = Simulator(top, backend=backend)
         if reset:
             sim.reset()
         buf = io.StringIO()
         writer = VcdWriter(sim, buf)
         drive(sim, top)
         writer.detach()
-        traces[scheduler] = (buf.getvalue(), sim.now)
+        traces[backend] = (buf.getvalue(), sim.now)
     return traces
 
 
@@ -254,8 +254,8 @@ class TestCaseStudyDesigns:
         from repro.isa import instructions as ins
 
         traces = {}
-        for scheduler in SCHEDULERS:
-            system = make_system(scheduler=scheduler)
+        for backend in SCHEDULERS:
+            system = make_system(backend=backend)
             sim = system.sim
             buf = io.StringIO()
             writer = VcdWriter(sim, buf)
@@ -267,5 +267,5 @@ class TestCaseStudyDesigns:
             driver.execute(ins.fence())
             driver.run_until_quiet()
             writer.detach()
-            traces[scheduler] = (buf.getvalue(), sim.now)
+            traces[backend] = (buf.getvalue(), sim.now)
         _assert_identical(traces)

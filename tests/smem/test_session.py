@@ -101,7 +101,7 @@ class TestSuiteAssembly:
         assert session.read(r) == 80
         assert sc.total() == 40
 
-    @pytest.mark.parametrize("backend", [None, "compiled"])
+    @pytest.mark.parametrize("backend", ["event", "compiled"])
     def test_compiled_system_matches_event(self, backend):
         built = build_system(registry=smem_suite_registry(n_cells=8),
                             lint="error", backend=backend)
