@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..hdl.errors import SimulationError
 from ..isa.encoding import Instruction, encode
 from ..messages.types import (
     DataRecord,
@@ -141,51 +140,34 @@ class CoprocessorDriver:
         dead — is raised instead of idling out the full ``max_cycles``
         budget.  None → a link-derived default; ≤0 → disabled.
         """
-        start = self.sim.now
-        idle_streak = 0
-        deadline = self.engine.resolve_deadline(deadline_cycles)
-        signature = self.engine.progress_signature()
-        last_progress = start
-        while idle_streak < self._quiet_streak:
+        engine = self.engine
+        quiet = self._quiet_streak
+        # The idle streak is `now - last_busy`.  A chunk longer than one
+        # cycle is certified pure aging, so the `busy` probe is frozen across
+        # its interior: a chunk that began busy and ended idle observed idle
+        # on its final cycle only.  Capping an idle chunk at the remaining
+        # streak makes the loop stop at exactly the one-cycle loop's cycle.
+        last_busy = self.sim.now
+        was_busy = False
+
+        def quiet_reached() -> bool:
+            nonlocal last_busy, was_busy
             now = self.sim.now
-            if now - start >= max_cycles:
-                raise SimulationError(
-                    f"system did not go quiet within {max_cycles} cycles"
-                )
-            if deadline is not None and now - last_progress >= deadline:
-                raise self.engine.timeout_error(
-                    f"system stayed busy with no progress for {deadline} "
-                    f"cycles ({self.engine.in_flight} in flight, "
-                    f"{self.engine.queued} queued)"
-                )
-            # Chunked pumping.  A chunk only exceeds one cycle when the
-            # kernel certifies pure aging for its whole span, so the `busy`
-            # probe and the progress signature are frozen across its
-            # interior: every interior cycle observes `pre_busy`, and only
-            # the chunk's final (real-edge) cycle can observe something new.
-            # Bounding by the timeout slacks and — once idle — by the
-            # remaining quiet streak makes this loop exit or raise at
-            # exactly the cycle the one-cycle-at-a-time loop would.
-            bound = start + max_cycles - now
-            if deadline is not None:
-                bound = min(bound, last_progress + deadline - now)
-            pre_busy = self.soc.busy or not self.engine.idle
-            if not pre_busy:
-                bound = min(bound, self._quiet_streak - idle_streak)
-            n = self.engine._pump_chunk(max(1, bound))
-            self.engine.flush()
-            busy = self.soc.busy or not self.engine.idle
+            busy = self.soc.busy or not engine.idle
             if busy:
-                idle_streak = 0
-            elif pre_busy:
-                idle_streak = 1  # only the final chunk cycle observed idle
-            else:
-                idle_streak += n
-            current = self.engine.progress_signature()
-            if current != signature:
-                signature = current
-                last_progress = self.sim.now
-        return self.sim.now - start
+                last_busy = now
+            elif was_busy:
+                last_busy = now - 1
+            was_busy = busy
+            return now - last_busy >= quiet
+
+        def streak_left() -> int:
+            return 1 << 60 if was_busy else quiet - (self.sim.now - last_busy)
+
+        return engine.pump_until(
+            quiet_reached, max_cycles=max_cycles, deadline_cycles=deadline_cycles,
+            describe=lambda: "system still busy", limit=streak_left,
+        )
 
     def wait_for(self, count: int = 1, max_cycles: int = 1_000_000,
                  deadline_cycles: Optional[int] = None) -> list[Message]:
@@ -197,34 +179,11 @@ class CoprocessorDriver:
         ``deadline_cycles`` pass without observable progress, so a dead
         link fails fast; None → a link-derived default, ≤0 → disabled.
         """
-        start = self.sim.now
-        deadline = self.engine.resolve_deadline(deadline_cycles)
-        signature = self.engine.progress_signature()
-        last_progress = start
-        while len(self.inbox) < count:
-            now = self.sim.now
-            if now - start >= max_cycles:
-                raise SimulationError(
-                    f"expected {count} responses, got {len(self.inbox)} after "
-                    f"{max_cycles} cycles"
-                )
-            if deadline is not None and now - last_progress >= deadline:
-                raise self.engine.timeout_error(
-                    f"expected {count} responses, got {len(self.inbox)} after "
-                    f"{deadline} cycles without progress"
-                )
-            # The inbox only grows when words arrive, and a multi-cycle
-            # chunk certifies none do before its final cycle — so bounding
-            # by the two timeout slacks preserves the exact exit cycle.
-            bound = start + max_cycles - now
-            if deadline is not None:
-                bound = min(bound, last_progress + deadline - now)
-            self.engine._pump_chunk(max(1, bound))
-            self.engine.flush()
-            current = self.engine.progress_signature()
-            if current != signature:
-                signature = current
-                last_progress = self.sim.now
+        self.engine.pump_until(
+            lambda: len(self.inbox) >= count,
+            max_cycles=max_cycles, deadline_cycles=deadline_cycles,
+            describe=lambda: f"expected {count} responses, got {len(self.inbox)}",
+        )
         out, self.inbox[:] = self.inbox[:count], self.inbox[count:]
         return out
 
@@ -299,18 +258,17 @@ class CoprocessorDriver:
         """Pop the oldest inbox message of ``msg_type``, pumping until one
         arrives.  Responses of other types stay queued (and tag-tracked
         requests are routed by the engine before ever reaching the inbox),
-        so an interleaved stream cannot be dropped or raise spuriously."""
-        start = self.sim.now
-        while True:
-            for i, msg in enumerate(self.inbox):
-                if isinstance(msg, msg_type):
-                    del self.inbox[i]
-                    return msg
-            if self.sim.now - start >= max_cycles:
-                others = [type(m).__name__ for m in self.inbox]
-                raise SimulationError(
-                    f"expected {msg_type.__name__} within {max_cycles} cycles; "
-                    f"inbox holds {others or 'nothing'}"
-                )
-            self.engine._pump_chunk(max(1, start + max_cycles - self.sim.now))
-            self.engine.flush()
+        so an interleaved stream cannot be dropped or raise spuriously.
+        Bounded by ``max_cycles`` alone: there is no no-progress deadline."""
+        def first_match() -> Optional[int]:
+            return next((i for i, msg in enumerate(self.inbox)
+                         if isinstance(msg, msg_type)), None)
+
+        def describe() -> str:
+            others = [type(m).__name__ for m in self.inbox]
+            return f"expected {msg_type.__name__} (inbox holds {others or 'nothing'})"
+
+        self.engine.pump_until(lambda: first_match() is not None,
+                               max_cycles=max_cycles, deadline_cycles=0,
+                               describe=describe)
+        return self.inbox.pop(first_match())

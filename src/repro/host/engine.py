@@ -393,7 +393,7 @@ class HostEngine:
         self._last_nack_at = -1
         self._consec_timeouts = 0
         self._clean_completions = 0
-        #: default no-progress deadline for wait()/run_until_quiet (cycles)
+        #: default no-progress deadline of pump_until (cycles)
         hysteresis = getattr(spec, "latency_cycles", 1) + self._cpw
         self.default_progress_deadline = max(50_000, 64 * hysteresis)
         # -- state-fault recovery (active only on protected systems) --
@@ -820,10 +820,12 @@ class HostEngine:
     def _declare_link_down(self) -> None:
         self.link_down = True
         outstanding = self._in_flight + len(self._queue)
+        # A deadline round re-sends only what the replay buffer still holds,
+        # so rounds and retransmissions actually sent are separate figures.
         error = LinkDownError(
-            f"link declared down: no response after {self.max_retries} "
-            f"retransmissions ({outstanding} requests outstanding, "
-            f"{self.stats.retransmits} retransmits, "
+            f"link declared down: no response after {self.max_retries + 1} "
+            f"expired deadlines ({self.stats.retransmits} retransmissions "
+            f"sent, {outstanding} requests outstanding, "
             f"{self.stats.nacks} NACKs seen)"
         )
         pending, self._pending = self._pending, {}
@@ -965,8 +967,7 @@ class HostEngine:
     def progress_signature(self) -> tuple:
         """A cheap tuple that changes whenever the system observably moves.
 
-        Used by the no-progress deadlines in :meth:`wait` and the driver's
-        ``run_until_quiet``/``wait_for``: words moving in either direction,
+        Used by the no-progress deadline of :meth:`pump_until`: words moving in either direction,
         completions, failures, retransmissions or retired instructions all
         count as progress; a dead or wedged system holds the tuple still.
         """
@@ -996,49 +997,71 @@ class HostEngine:
             return None
         return deadline_cycles
 
-    def wait(self, future: HostFuture, max_cycles: int = 1_000_000,
-             deadline_cycles: Optional[int] = None) -> None:
-        """Pump until ``future`` completes.
+    def pump_until(
+        self,
+        done: Callable[[], bool],
+        *,
+        max_cycles: int = 1_000_000,
+        deadline_cycles: Optional[int] = None,
+        describe: Callable[[], str],
+        limit: Optional[Callable[[], int]] = None,
+    ) -> int:
+        """The engine's one waiting loop: pump until ``done()`` holds.
 
-        Raises :class:`SimulationError` after ``max_cycles`` total, and the
-        more descriptive :class:`HostTimeoutError` (or
+        Returns the cycles consumed.  Raises :class:`SimulationError` once
+        ``max_cycles`` pass, and :class:`HostTimeoutError` (or
         :class:`LinkDownError`) once ``deadline_cycles`` pass with no
-        observable progress anywhere in the system — so a dead link fails
-        fast instead of idling out the full budget.  ``deadline_cycles``:
-        None → a link-derived default, ≤0 → disabled.
+        observable progress anywhere in the system, so a dead link fails
+        fast; None → a link-derived default, ≤0 → disabled.  ``describe()``
+        phrases the unmet condition for those errors; ``limit()``, called
+        right after ``done()`` returned False, caps the next chunk for a
+        caller that must observe some cycle exactly.
+
+        No chunk crosses the budget, the no-progress trigger or ``limit()``,
+        and a chunk longer than one cycle is certified pure aging, with
+        completions routed (so ``done()`` flips) only at its end: returns
+        and raises land on the cycle a one-cycle loop would reach them.
         """
-        if future.done():
-            return
         self.flush()
         start = self.sim.now
         deadline = self.resolve_deadline(deadline_cycles)
         signature = self.progress_signature()
         last_progress = start
-        while not future.done():
+        while not done():
             now = self.sim.now
             if now - start >= max_cycles:
                 raise SimulationError(
-                    f"request did not complete within {max_cycles} cycles "
-                    f"({self._in_flight} in flight, {len(self._queue)} queued)"
+                    f"{describe()} after {max_cycles} cycles ({self._backlog()})"
                 )
             if deadline is not None and now - last_progress >= deadline:
                 raise self.timeout_error(
-                    f"request made no progress for {deadline} cycles "
-                    f"({self._in_flight} in flight, {len(self._queue)} queued, "
-                    f"{self.stats.retransmits} retransmits)"
+                    f"{describe()} after {deadline} cycles with no progress "
+                    f"({self._backlog()})"
                 )
-            # Chunked pump: never jump past the budget or no-progress trigger
-            # points, so both raise at exactly the cycle the one-cycle loop
-            # would have raised at.
             bound = start + max_cycles - now
             if deadline is not None:
                 bound = min(bound, last_progress + deadline - now)
+            if limit is not None:
+                bound = min(bound, limit())
             self._pump_chunk(max(1, bound))
-            self.flush()
+            self.flush()  # completions may have opened the window
             current = self.progress_signature()
             if current != signature:
                 signature = current
                 last_progress = self.sim.now
+        return self.sim.now - start
+
+    def _backlog(self) -> str:
+        return (f"{self._in_flight} in flight, {len(self._queue)} queued, "
+                f"{self.stats.retransmits} retransmits")
+
+    def wait(self, future: HostFuture, max_cycles: int = 1_000_000,
+             deadline_cycles: Optional[int] = None) -> None:
+        """Pump until ``future`` completes (see :meth:`pump_until`)."""
+        if not future.done():
+            self.pump_until(future.done, max_cycles=max_cycles,
+                            deadline_cycles=deadline_cycles,
+                            describe=lambda: "request still pending")
 
     def wait_all(self, futures: Iterable[HostFuture],
                  max_cycles: int = 1_000_000) -> list:

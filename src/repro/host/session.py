@@ -159,25 +159,28 @@ class Session:
 
         Each in-flight ``compute_async`` parks three registers until its
         result streams back, so the register file is a windowed resource
-        just like tags: when it runs dry, pump the engine until a
-        completion callback frees one instead of raising.  Raises only
-        when nothing is in flight — a genuinely over-committed file.
+        just like tags: when it runs dry, the engine's one waiting loop
+        (:meth:`HostEngine.pump_until`) pumps in wheel-certified chunks until
+        a completion callback frees one, on exactly the cycle a one-cycle
+        pump would.  Raises :class:`OutOfRegisters` when nothing is in
+        flight — a genuinely over-committed file — and the engine's
+        timeout errors when the link makes no progress for its default
+        no-progress deadline.
         """
-        engine = self.driver.engine
-        while True:
-            try:
-                return self.alloc()
-            except OutOfRegisters:
-                if engine.idle:
-                    raise
-                self.driver.pump()
+        if not self._free:
+            engine = self.driver.engine
+            engine.pump_until(lambda: bool(self._free) or engine.idle,
+                              describe=lambda: "no register freed")
+        return self.alloc()
 
     def compute_async(self, op: ArithOp | LogicOp, x: int, y: int = 0) -> HostFuture:
         """`compute` without the wait: operands load, the op issues, and the
         result GET is tracked by the engine.  The operand/result registers
         are freed automatically when the future completes, so a windowed
         batch recycles registers as results stream back; a batch larger
-        than the register file self-throttles instead of raising."""
+        than the register file self-throttles (see :meth:`_alloc_async`)
+        instead of raising, and fails with :class:`HostTimeoutError` rather
+        than hanging if the link goes silent while it waits."""
         ra = self._alloc_async()
         self.write(ra, x)
         rb = self._alloc_async()

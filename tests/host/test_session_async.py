@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import FrameworkConfig
-from repro.host import Session
+from repro.host import HostTimeoutError, Session
 from repro.isa import ArithOp, LogicOp
+from repro.messages import FaultSpec
 from repro.system import build_system
 
 
@@ -37,6 +38,27 @@ class TestComputeAsync:
         with session.pipeline() as p:
             futures = [p.compute(ArithOp.ADD, i, 50) for i in range(10)]
         assert [f.result() for f in futures] == [50 + i for i in range(10)]
+
+    @pytest.mark.parametrize("wheel", [True, False])
+    def test_throttle_times_out_on_dead_link(self, wheel):
+        """A throttled batch on a dead, non-reliable link has no retry
+        budget to exhaust; the throttle's no-progress deadline turns what
+        used to be an endless wait into a timeout, raised on the same cycle
+        with the time wheel on or off."""
+        session = Session(build_system(
+            FrameworkConfig(n_regs=8), wheel=wheel,
+            upstream_faults=FaultSpec(drop_rate=1.0),
+        ))
+        engine = session.driver.engine
+        issued = []
+        with pytest.raises(HostTimeoutError, match="no progress") as exc:
+            for i in range(40):
+                issued.append(session.compute_async(ArithOp.ADD, i, 1))
+        assert exc.type is HostTimeoutError  # no reliable layer: not LinkDownError
+        assert len(issued) == 2  # the third compute waited for a register
+        # the last observable progress (the second compute retiring) is at
+        # cycle 40; the deadline then runs out to the cycle
+        assert session.system.sim.now == 40 + engine.default_progress_deadline
 
     def test_logic_ops_supported(self, session):
         fut = session.compute_async(LogicOp.AND, 0b1100, 0b1010)

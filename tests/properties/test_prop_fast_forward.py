@@ -14,6 +14,10 @@ kernel.  The suite also asserts the wheel actually *engaged* (skipped
 cycles, took jumps) in the wheel-on runs, so the equivalences are exercised
 rather than vacuous.
 
+Besides raw ``driver.*`` programs, a register-starved ``Session.pipeline()``
+batch exercises the host engine's register throttle, whose waits must ride
+the wheel in certified chunks without moving a single cycle.
+
 Two tracing regimes are covered, matching the observer contract:
 
 * a plain :class:`VcdWriter` forces per-cycle stepping (its observer
@@ -30,8 +34,10 @@ import random
 
 import pytest
 
+from repro.config import FrameworkConfig
 from repro.hdl.vcd import VcdWriter
-from repro.host import CoprocessorDriver
+from repro.host import CoprocessorDriver, Session
+from repro.isa import ArithOp, LogicOp
 from repro.isa import instructions as ins
 from repro.messages import FaultSpec
 from repro.messages.channel import FAST_BUS, INTEGRATED, SLOW_PROTOTYPE
@@ -78,16 +84,32 @@ def _random_program(driver, rng):
     return results
 
 
+def _pipeline_program(driver, rng):
+    """A ``Session.pipeline()`` batch of 10–24 computes on an 8-register
+    file: each compute parks three registers, so most allocations wait in
+    the session's register throttle for an earlier result to stream back."""
+    session = Session(driver.system, driver=driver)
+    with session.pipeline() as p:
+        for _ in range(rng.randint(10, 24)):
+            op = rng.choice((ArithOp.ADD, ArithOp.SUB, LogicOp.XOR))
+            p.compute(op, rng.randrange(1 << 16), rng.randrange(1 << 16))
+    results = p.results()
+    driver.run_until_quiet()
+    return results
+
+
 def _run(channel, backend, wheel, seed, *, faults=None, upstream_faults=None,
-         reliable=False, vcd="none"):
+         reliable=False, vcd="none", program=_random_program, config=None):
     """One full system run; returns everything the modes must agree on."""
     system = build_system(
+        config,
         channel=channel,
         backend=backend,
         wheel=wheel,
         faults=faults,
         upstream_faults=upstream_faults,
         reliable=reliable,
+        window=8,
     )
     sim = system.sim
     buf = io.StringIO()
@@ -104,7 +126,7 @@ def _run(channel, backend, wheel, seed, *, faults=None, upstream_faults=None,
         ]
         writer = VcdWriter(sim, buf, signals=picked, compress_idle=True)
     driver = CoprocessorDriver(system)
-    results = _random_program(driver, random.Random(seed))
+    results = program(driver, random.Random(seed))
     if writer is not None:
         writer.detach()
     regs = [system.soc.rtm.register_value(r) for r in range(1, 8)]
@@ -181,6 +203,22 @@ class TestFastForwardEquivalence:
         runs = [
             (f"{sched}/wheel={wheel}",
              _run(channel, sched, wheel, seed, **faults))
+            for sched, wheel in MODES
+        ]
+        _assert_agree(runs)
+        assert runs[-1][1]["stats"].skipped_cycles > 0, "wheel never engaged"
+
+    @pytest.mark.parametrize("channel, reliable", [
+        pytest.param(INTEGRATED, False, id="integrated"),
+        pytest.param(FAST_BUS, False, id="fast-bus"),
+        pytest.param(SLOW_PROTOTYPE, False, id="slow-prototype"),
+        pytest.param(SLOW_PROTOTYPE, True, id="slow-prototype-reliable"),
+    ])
+    def test_register_throttled_pipeline_identical(self, channel, reliable):
+        runs = [
+            (f"{sched}/wheel={wheel}",
+             _run(channel, sched, wheel, seed=13, reliable=reliable, vcd="ports",
+                  program=_pipeline_program, config=FrameworkConfig(n_regs=8)))
             for sched, wheel in MODES
         ]
         _assert_agree(runs)
