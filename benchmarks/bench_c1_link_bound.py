@@ -25,11 +25,11 @@ from repro.analysis import (
     PCIE_CLASS_LINK,
     SERIAL_PROTOTYPE_LINK,
     format_table,
-    make_system,
     measure_issue_rate,
     roundtrip_cycles,
 )
 from repro.messages import FAST_BUS, INTEGRATED, SLOW_PROTOTYPE
+from repro.system import build_system
 
 CHANNELS = (INTEGRATED, FAST_BUS, SLOW_PROTOTYPE)
 
@@ -37,7 +37,7 @@ CHANNELS = (INTEGRATED, FAST_BUS, SLOW_PROTOTYPE)
 @pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: c.name)
 def test_c1_roundtrip(benchmark, channel):
     cycles = benchmark.pedantic(
-        lambda: roundtrip_cycles(make_system(channel=channel)), rounds=1, iterations=1
+        lambda: roundtrip_cycles(build_system(channel=channel)), rounds=1, iterations=1
     )
     assert cycles > 0
 
@@ -46,8 +46,8 @@ def test_c1_report(benchmark):
     def build():
         rows = []
         for channel in CHANNELS:
-            rt = roundtrip_cycles(make_system(channel=channel))
-            r = measure_issue_rate(make_system(channel=channel), 32)
+            rt = roundtrip_cycles(build_system(channel=channel))
+            r = measure_issue_rate(build_system(channel=channel), 32)
             rows.append([channel.name, channel.latency_cycles,
                          channel.cycles_per_word, rt,
                          round(r.cycles_per_instruction, 2)])
@@ -119,7 +119,7 @@ def test_c1_uart_roundtrip(benchmark):
         return d.cycles - start
 
     cycles = benchmark.pedantic(run, rounds=1, iterations=1)
-    integrated = roundtrip_cycles(make_system(channel=INTEGRATED))
+    integrated = roundtrip_cycles(build_system(channel=INTEGRATED))
     report(
         "C1c: bit-level UART (8N1, divisor 2) vs integrated fabric — one "
         "write+GET round trip",

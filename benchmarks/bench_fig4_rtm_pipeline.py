@@ -11,15 +11,16 @@ of §III.
 import pytest
 
 from conftest import report
-from repro.analysis import format_table, make_system, measure_issue_rate
+from repro.analysis import format_table, measure_issue_rate
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
+from repro.system import build_system
 
 N = 48
 
 
 def _mix_cycles(kind: str) -> float:
-    driver = CoprocessorDriver(make_system())
+    driver = CoprocessorDriver(build_system())
     driver.write_reg(1, 3)
     driver.write_reg(2, 5)
     driver.run_until_quiet()
@@ -81,7 +82,7 @@ def test_f4_pipeline_depth_latency(benchmark):
     """Single-instruction latency through the whole pipe (fill time)."""
 
     def run():
-        driver = CoprocessorDriver(make_system())
+        driver = CoprocessorDriver(build_system())
         driver.write_reg(1, 20)
         driver.write_reg(2, 22)
         driver.run_until_quiet()

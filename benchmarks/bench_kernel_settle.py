@@ -46,10 +46,13 @@ import time
 import pytest
 
 from conftest import report
-from repro.analysis import counters_for, format_table, make_system
+from repro.analysis import counters_for, format_table
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
+from repro.isa.opcodes import Opcode
 from repro.messages.channel import INTEGRATED, SLOW_PROTOTYPE
+from repro.system import build_system
+from repro.xisort import xisort_factory
 
 BURST = 48            # instructions per offload burst
 THINK_CYCLES = 3000   # host-side gap between bursts (offload scenario)
@@ -71,7 +74,7 @@ DENSE_MODES = ("event", "event+wheel", "compiled")
 
 def _rtm_workload(mode: dict, channel, idle_cycles: int = 0, burst: int = BURST):
     """One offload round on the fig. 4 pipeline; returns (cycles, seconds)."""
-    system = make_system(channel=channel, **mode)
+    system = build_system(channel=channel, **mode)
     driver = CoprocessorDriver(system)
     driver.write_reg(1, 3)
     driver.write_reg(2, 5)
@@ -93,7 +96,7 @@ def _serial_idle_workload(mode: dict):
     burst over the 256-cycles/word serial link, host think-time, then a
     synchronous read-back.  Nearly every simulated cycle is a link
     countdown or pure idle — the operating point §III describes."""
-    system = make_system(channel=SLOW_PROTOTYPE, **mode)
+    system = build_system(channel=SLOW_PROTOTYPE, **mode)
     driver = CoprocessorDriver(system)
     driver.write_reg(1, 3)
     driver.write_reg(2, 5)
@@ -116,7 +119,9 @@ def _xisort_workload(mode: dict, n_cells: int = 16):
     from repro.host.session import Session
     from repro.xisort import XiSortAccelerator
 
-    system = make_system(xisort_cells=n_cells, **mode)
+    system = build_system(
+        units={Opcode.XISORT: xisort_factory(n_cells=n_cells)}, **mode
+    )
     session = Session(system)
     acc = XiSortAccelerator(session)
     values = random.Random(7).sample(range(1 << 16), n_cells)
@@ -338,7 +343,7 @@ def test_dataflow_analysis_per_preset(benchmark):
 
 def test_kernel_counters_surface():
     """counters_for folds scheduler stats into the framework counter report."""
-    system = make_system(channel=INTEGRATED, **MODES["event+wheel"])
+    system = build_system(channel=INTEGRATED, **MODES["event+wheel"])
     driver = CoprocessorDriver(system)
     driver.write_reg(1, 3)
     driver.execute(ins.add(3, 1, 1))
@@ -351,7 +356,7 @@ def test_kernel_counters_surface():
     assert "settle scheduler" in rep.kernel_table()
     assert "skipped_cycles" in rep.kernel
 
-    compiled = make_system(channel=INTEGRATED, **MODES["compiled"])
+    compiled = build_system(channel=INTEGRATED, **MODES["compiled"])
     crep = counters_for(compiled)
     assert crep.kernel["compiled_procs"] > 0
     assert "compiled procs" in crep.kernel_table()

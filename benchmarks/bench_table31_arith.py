@@ -8,7 +8,7 @@ verifying its datapath identity; plus a raw-datapath throughput benchmark.
 import pytest
 
 from conftest import report
-from repro.analysis import format_table, make_system
+from repro.analysis import format_table
 from repro.fu import arith_datapath
 from repro.host import CoprocessorDriver
 from repro.isa import (
@@ -22,6 +22,7 @@ from repro.isa import (
     instructions as ins,
 )
 from repro.isa.opcodes import Opcode
+from repro.system import build_system
 
 A, B = 1000, 58
 MASK = 0xFFFF_FFFF
@@ -41,7 +42,7 @@ EXPECTED = {
 
 def _run_row(op: ArithOp) -> tuple[int, int | None]:
     """Execute one Table 3.1 row end-to-end; returns (cycles, result)."""
-    driver = CoprocessorDriver(make_system())
+    driver = CoprocessorDriver(build_system())
     driver.write_reg(1, A)
     driver.write_reg(2, B)
     driver.run_until_quiet()

@@ -6,11 +6,12 @@ Same regeneration as T1 for the logic unit's bitwise operations.
 import pytest
 
 from conftest import report
-from repro.analysis import format_table, make_system
+from repro.analysis import format_table
 from repro.fu import logic_datapath
 from repro.host import CoprocessorDriver
 from repro.isa import LogicOp, instructions as ins
 from repro.isa.opcodes import Opcode
+from repro.system import build_system
 
 A, B = 0b1100_1010_1111_0000, 0b1010_0110_0000_1111
 MASK = 0xFFFF_FFFF
@@ -30,7 +31,7 @@ EXPECTED = {
 
 
 def _run_row(op: LogicOp) -> tuple[int, int]:
-    driver = CoprocessorDriver(make_system())
+    driver = CoprocessorDriver(build_system())
     driver.write_reg(1, A)
     driver.write_reg(2, B)
     driver.run_until_quiet()

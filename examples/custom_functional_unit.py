@@ -15,6 +15,7 @@ Run:  python examples/custom_functional_unit.py
 """
 
 import binascii
+from dataclasses import replace
 
 from repro import SystemBuilder
 from repro.fu import AreaOptimizedFU, FuComputation, PipelinedFunctionalUnit
@@ -82,14 +83,15 @@ def crc32_on_coprocessor(driver: CoprocessorDriver, data: bytes, unit: int) -> i
     return driver.read_reg(R_CRC) ^ 0xFFFF_FFFF  # CRC-32 final xor
 
 
+#: the coprocessor: both CRC units on top of the case-study units
+SPEC = SystemBuilder(units={
+    CRC_AREA: lambda n, w, p: Crc32Unit(n, w, p),
+    CRC_PIPE: lambda n, w, p: Crc32PipelinedUnit(n, w, p),
+})
+
+
 def main() -> None:
-    built = (
-        SystemBuilder()
-        .with_unit(CRC_AREA, lambda n, w, p: Crc32Unit(n, w, p))
-        .with_unit(CRC_PIPE, lambda n, w, p: Crc32PipelinedUnit(n, w, p))
-        .build()
-    )
-    driver = CoprocessorDriver(built)
+    driver = CoprocessorDriver(SPEC.build())
 
     message = b"A framework for FPGA functional units in HPC ... "
     message += b"\x00" * (-len(message) % 4)
@@ -114,13 +116,7 @@ def main() -> None:
 
 def build_for_lint():
     """Design-rule-check target: both custom CRC units on one coprocessor."""
-    return (
-        SystemBuilder()
-        .with_unit(CRC_AREA, lambda n, w, p: Crc32Unit(n, w, p))
-        .with_unit(CRC_PIPE, lambda n, w, p: Crc32PipelinedUnit(n, w, p))
-        .with_lint("off")
-        .build()
-    )
+    return replace(SPEC, lint="off").build()
 
 
 if __name__ == "__main__":

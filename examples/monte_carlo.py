@@ -19,7 +19,9 @@ is designed for.
 Run:  python examples/monte_carlo.py
 """
 
-from repro import SystemBuilder
+from dataclasses import replace
+
+from repro import FrameworkConfig, SystemBuilder
 from repro.fu.stateful import (
     HIST_CLEAR,
     HIST_READ,
@@ -33,19 +35,18 @@ from repro.host import CoprocessorDriver
 from repro.isa import FLAG_CARRY, instructions as ins
 
 PRNG, HIST = 0x31, 0x30
+
+SPEC = SystemBuilder(FrameworkConfig(n_regs=16), units={
+    HIST: histogram_factory(n_bins=2),
+    PRNG: prng_factory(),
+})
+
 SAMPLES = 300
 SCALE = 1 << 15                       # coordinates in [0, 2^15)
 
 
 def main() -> None:
-    built = (
-        SystemBuilder()
-        .with_config(n_regs=16)
-        .with_unit(HIST, histogram_factory(n_bins=2))
-        .with_unit(PRNG, prng_factory())
-        .build()
-    )
-    d = CoprocessorDriver(built)
+    d = CoprocessorDriver(SPEC.build())
 
     R_X, R_Y, R_RR, R_LIMIT, R_BIN = 1, 2, 3, 4, 5
 
@@ -83,14 +84,7 @@ def main() -> None:
 
 def build_for_lint():
     """Design-rule-check target: the three-unit stateful composition."""
-    return (
-        SystemBuilder()
-        .with_config(n_regs=16)
-        .with_unit(HIST, histogram_factory(n_bins=2))
-        .with_unit(PRNG, prng_factory())
-        .with_lint("off")
-        .build()
-    )
+    return replace(SPEC, lint="off").build()
 
 
 if __name__ == "__main__":

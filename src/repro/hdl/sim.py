@@ -262,6 +262,9 @@ class Simulator:
     claims every signal's change-notification hook for this instance.
     """
 
+    #: every accepted ``backend`` value
+    BACKENDS = ("event", "exhaustive", "compiled")
+
     def __new__(
         cls,
         top: Optional[Component] = None,
@@ -288,7 +291,7 @@ class Simulator:
             raise SimulationError(
                 "backend='compiled' is only available on Simulator itself"
             )
-        if backend not in ("event", "exhaustive"):
+        if backend not in self.BACKENDS:
             raise SimulationError(f"unknown backend {backend!r}")
         #: which engine executes this design ("event", "exhaustive" or
         #: "compiled")

@@ -13,43 +13,32 @@ rest of the structure is exactly the component diagram of Fig. 2.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING
 
-from ..config import FrameworkConfig
-from ..fu.registry import UnitRegistry
 from ..hdl import Component
-from ..messages.channel import INTEGRATED, ChannelSpec, Link
+from ..messages.channel import Link
 from ..messages.transceiver import HostPort, Receiver, Transmitter
 from ..rtm.rtm import RegisterTransferMachine, _connect
 
+if TYPE_CHECKING:
+    from .builder import SystemBuilder
+
 
 class CoprocessorSystem(Component):
-    """Host port + link + transceivers + RTM, fully wired."""
+    """Host port + link + transceivers + RTM, fully wired from one spec."""
 
-    def __init__(
-        self,
-        config: FrameworkConfig,
-        channel: ChannelSpec = INTEGRATED,
-        registry: Optional[UnitRegistry] = None,
-        unit_codes: Optional[Sequence[int]] = None,
-        name: str = "soc",
-        upstream_channel: Optional[ChannelSpec] = None,
-        downstream_faults=None,
-        upstream_faults=None,
-        state_faults=None,
-        state_protection: bool = False,
-    ):
+    def __init__(self, spec: "SystemBuilder", name: str = "soc"):
         super().__init__(name)
-        self.config = config
-        self.channel_spec = channel
+        self.config = config = spec.config
+        self.channel_spec = spec.channel
         self.host = HostPort("host", parent=self)
         self.link = Link(
             "link",
-            channel,
+            spec.channel,
             parent=self,
-            upstream_spec=upstream_channel,
-            downstream_faults=downstream_faults,
-            upstream_faults=upstream_faults,
+            upstream_spec=spec.upstream_channel,
+            downstream_faults=spec.faults,
+            upstream_faults=spec.upstream_faults,
         )
         self.receiver = Receiver(
             "receiver", parent=self, depth=config.transceiver_fifo_depth
@@ -58,9 +47,9 @@ class CoprocessorSystem(Component):
             "transmitter", parent=self, depth=config.transceiver_fifo_depth
         )
         self.rtm = RegisterTransferMachine(
-            "rtm", config, registry=registry, unit_codes=unit_codes,
-            state_faults=state_faults, state_protection=state_protection,
-            parent=self,
+            "rtm", config, registry=spec.unit_registry(),
+            unit_codes=spec.unit_codes, state_faults=spec.state_faults,
+            state_protection=spec.state_protection, parent=self,
         )
 
         # host → coprocessor path

@@ -228,10 +228,8 @@ class _ContendingUnit(AreaOptimizedFU):
 
 
 def test_build_system_lint_error_rejects_bad_unit():
-    builder = (
-        SystemBuilder()
-        .with_unit(0x20, lambda n, w, p: _ContendingUnit(n, w, p))
-        .with_lint("error")
+    builder = SystemBuilder(
+        units={0x20: lambda n, w, p: _ContendingUnit(n, w, p)}, lint="error"
     )
     with pytest.raises(LintFailure) as exc:
         builder.build()
@@ -245,7 +243,7 @@ def test_build_system_lint_error_accepts_clean_design():
 
 def test_with_lint_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        SystemBuilder().with_lint("loud")
+        SystemBuilder(lint="loud")
 
 
 # -- engine / catalog ---------------------------------------------------------

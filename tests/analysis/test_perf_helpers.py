@@ -1,37 +1,18 @@
 """Unit tests for the measurement harness itself."""
 
-import pytest
-
 from repro.analysis import (
-    make_system,
     measure_end_to_end_sort,
     measure_issue_rate,
     measure_xisort_step_costs,
     roundtrip_cycles,
 )
-from repro.isa import Opcode
 from repro.messages import SLOW_PROTOTYPE
-
-
-class TestMakeSystem:
-    def test_default_units(self):
-        s = make_system()
-        assert len(s.soc.rtm.units) == 2
-
-    def test_with_xisort(self):
-        s = make_system(xisort_cells=8)
-        assert Opcode.XISORT in s.soc.rtm.futable
-
-    def test_pipelined(self):
-        s = make_system(pipelined=True)
-        from repro.fu import PipelinedArithmeticUnit
-
-        assert isinstance(s.soc.rtm.unit_for(Opcode.ARITH), PipelinedArithmeticUnit)
+from repro.system import build_system
 
 
 class TestMeasurements:
     def test_issue_rate_counts_all_instructions(self):
-        r = measure_issue_rate(make_system(), 16)
+        r = measure_issue_rate(build_system(), 16)
         assert r.instructions == 16
         assert r.cycles > 16  # at least a cycle each
         assert r.cycles_per_instruction == r.cycles / 16
@@ -48,6 +29,6 @@ class TestMeasurements:
         assert out == sorted(out)
 
     def test_roundtrip_slower_on_slow_link(self):
-        fast = roundtrip_cycles(make_system())
-        slow = roundtrip_cycles(make_system(channel=SLOW_PROTOTYPE))
+        fast = roundtrip_cycles(build_system())
+        slow = roundtrip_cycles(build_system(channel=SLOW_PROTOTYPE))
         assert slow > 10 * fast

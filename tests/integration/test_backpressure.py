@@ -11,11 +11,8 @@ import pytest
 from repro.config import FrameworkConfig
 from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
-from repro.messages import ChannelSpec, DataRecord
+from repro.messages import INTEGRATED, ChannelSpec, DataRecord
 from repro.system import build_system
-
-from repro.messages import INTEGRATED
-from repro.system import SystemBuilder
 
 #: a fast write path with a slow readback path — the asymmetric case where
 #: the outbound (response) direction is the bottleneck
@@ -23,7 +20,7 @@ SLOW_UP = ChannelSpec("slow-up", latency_cycles=4, cycles_per_word=12)
 
 
 def _asym_system(cfg):
-    return SystemBuilder(cfg).with_channel(INTEGRATED, upstream=SLOW_UP).build()
+    return build_system(cfg, channel=INTEGRATED, upstream_channel=SLOW_UP)
 
 
 class TestGetFlood:

@@ -21,7 +21,7 @@ class TestAsymmetricLink:
     def test_system_builder_plumbs_upstream(self):
         from repro.system import SystemBuilder
 
-        built = SystemBuilder().with_channel(INTEGRATED, upstream=SLOW).build()
+        built = SystemBuilder(channel=INTEGRATED, upstream_channel=SLOW).build()
         assert built.soc.link.downstream.spec is INTEGRATED
         assert built.soc.link.upstream.spec is SLOW
 
@@ -30,8 +30,8 @@ class TestAsymmetricLink:
         from repro.host import CoprocessorDriver
         from repro.system import SystemBuilder
 
-        sym = SystemBuilder().with_channel(INTEGRATED).build()
-        asym = SystemBuilder().with_channel(INTEGRATED, upstream=SLOW).build()
+        sym = SystemBuilder(channel=INTEGRATED).build()
+        asym = SystemBuilder(channel=INTEGRATED, upstream_channel=SLOW).build()
         results = {}
         for name, built in (("sym", sym), ("asym", asym)):
             d = CoprocessorDriver(built)

@@ -249,13 +249,13 @@ class TestCaseStudyDesigns:
     def test_rtm_system_bit_identical(self):
         """Full fig. 4 system: an instruction burst produces the same
         waveform, cycle for cycle, under both schedulers."""
-        from repro.analysis import make_system
         from repro.host import CoprocessorDriver
         from repro.isa import instructions as ins
+        from repro.system import build_system
 
         traces = {}
         for backend in SCHEDULERS:
-            system = make_system(backend=backend)
+            system = build_system(backend=backend)
             sim = system.sim
             buf = io.StringIO()
             writer = VcdWriter(sim, buf)

@@ -3,11 +3,22 @@
 import pytest
 
 from repro.config import FrameworkConfig
-from repro.fu import ArithmeticUnit, FuComputation, MinimalFunctionalUnit
+from repro.fu import (
+    ArithmeticUnit,
+    FuComputation,
+    MinimalFunctionalUnit,
+    PipelinedArithmeticUnit,
+)
+from repro.hdl import SimulationError
 from repro.host import CoprocessorDriver
 from repro.isa import Opcode, instructions as ins
 from repro.messages import FAST_BUS, SLOW_PROTOTYPE
 from repro.system import SystemBuilder, build_system
+
+
+class Triple(MinimalFunctionalUnit):
+    def compute(self, s):
+        return FuComputation(data1=(s.op_a * 3) & 0xFFFF_FFFF)
 
 
 class TestBuilder:
@@ -18,33 +29,46 @@ class TestBuilder:
         assert len(built.soc.rtm.units) == 2
 
     def test_with_config_overrides(self):
-        built = SystemBuilder().with_config(word_bits=64, n_regs=32).build()
+        built = SystemBuilder(FrameworkConfig(word_bits=64, n_regs=32)).build()
         assert built.config.word_bits == 64
         assert built.config.n_regs == 32
 
     def test_with_channel(self):
-        built = SystemBuilder().with_channel(SLOW_PROTOTYPE).build()
+        built = SystemBuilder(channel=SLOW_PROTOTYPE).build()
         assert built.soc.channel_spec is SLOW_PROTOTYPE
 
     def test_with_units_subset(self):
-        built = SystemBuilder().with_units([Opcode.ARITH]).build()
+        built = SystemBuilder(unit_codes=[Opcode.ARITH]).build()
         assert len(built.soc.rtm.units) == 1
         assert isinstance(built.soc.rtm.unit_for(Opcode.ARITH), ArithmeticUnit)
 
     def test_custom_unit_registration(self):
-        class Triple(MinimalFunctionalUnit):
-            def compute(self, s):
-                return FuComputation(data1=(s.op_a * 3) & 0xFFFF_FFFF)
-
-        built = (
-            SystemBuilder()
-            .with_unit(0x20, lambda n, w, p: Triple(n, w, p))
-            .build()
-        )
+        built = SystemBuilder(units={0x20: lambda n, w, p: Triple(n, w, p)}).build()
         driver = CoprocessorDriver(built)
         driver.write_reg(1, 14)
         driver.execute(ins.dispatch(0x20, 0, dst1=2, src1=1))
         assert driver.read_reg(2) == 42
+
+    @pytest.mark.parametrize("extra", [
+        {"units": {0x20: lambda n, w, p: Triple(n, w, p)}},
+        {"fp_units": True},
+        {"unit_codes": [Opcode.ARITH]},
+    ], ids=["units", "fp_units", "unit_codes"])
+    def test_pipelined_config_reaches_every_registry_path(self, extra):
+        """The registry resolves from the final config, so extra units, the
+        FP family or a code subset never fall back to area-optimised units."""
+        built = SystemBuilder(FrameworkConfig(pipelined_units=True), **extra).build()
+        assert built.config.pipelined_units
+        assert isinstance(built.soc.rtm.unit_for(Opcode.ARITH), PipelinedArithmeticUnit)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"backend": "compild"}, SimulationError),
+        ({"backend": None}, SimulationError),
+        ({"window": 0}, ValueError),
+    ], ids=["backend-typo", "backend-none", "window"])
+    def test_spec_rejects_bad_values_before_elaboration(self, kwargs, error):
+        with pytest.raises(error):
+            SystemBuilder(**kwargs)
 
     def test_build_system_convenience(self):
         built = build_system(FrameworkConfig(n_regs=8), channel=FAST_BUS)
