@@ -80,8 +80,10 @@ only; the exhaustive kernel keeps the reference run-everything loop):
   the real work, so cycle counts and traces are exactly those of the
   unskipped run.  Any horizon of ``0`` (real work next edge), any armed
   process without a wheel hook, or any plain observer vetoes the jump.
-  :meth:`Simulator.fast_forward_limit` exposes the same scan to host-side
-  pump loops so they can bound their stepping chunks.
+  ``step(cycles, until=...)`` ends a stretch early, right after the first
+  executed edge at which ``until()`` holds, so a host loop runs everything
+  between two host-visible events in one call.
+  :meth:`Simulator.fast_forward_limit` remains as a probe of the same scan.
 """
 
 from __future__ import annotations
@@ -782,9 +784,9 @@ class Simulator:
         Settles the design, then runs the wheel's precondition scan without
         performing a jump.  Returns 0 whenever fast-forward is unavailable
         (wheel disabled, plain observers attached, non-event scheduler, or
-        real work pending on the next edge).  Host pump loops use this to
-        bound the stepping chunks they hand to :meth:`step`, keeping their
-        own per-chunk bookkeeping (deadline checks, drain polls) exact.
+        real work pending on the next edge).  A read-only probe for tests
+        and tracing: :meth:`step` runs the same scan itself, so no stepping
+        loop needs to call this first.
         """
         if not self.wheel or self._plain_observers:
             return 0
@@ -795,33 +797,23 @@ class Simulator:
 
     # -- public stepping API ---------------------------------------------------
 
-    def step(self, cycles: int = 1) -> None:
-        """Advance the design by ``cycles`` full clock cycles.
+    def step(self, cycles: int = 1,
+             until: Optional[Callable[[], bool]] = None) -> int:
+        """Advance the design by up to ``cycles`` full clock cycles.
 
         With the time wheel enabled (and no plain observer attached), runs
         of provably idle cycles inside a multi-cycle step are covered by
         O(#hooks) jumps instead of per-cycle edges; the result is
         cycle-exact either way.
-        """
-        if cycles > 1 and self.wheel and not self._plain_observers:
-            self._step_wheel(cycles)
-            return
-        observers = self._observers
-        if observers:
-            for _ in range(cycles):
-                self.settle()
-                self._edge()
-                self.now += 1
-                for obs in observers:
-                    obs(self.now)
-        else:
-            for _ in range(cycles):
-                self.settle()
-                self._edge()
-                self.now += 1
 
-    def _step_wheel(self, cycles: int) -> None:
-        """Multi-cycle stepping with time-wheel jumps on quiescent stretches."""
+        ``until`` is checked after every executed edge (after observers,
+        before the next settle); the step returns as soon as it holds.
+        Jumps are not checked: they only age counters, so nothing ``until``
+        can observe moves inside one.  Returns the cycles advanced —
+        ``cycles`` unless ``until`` ended the step early.
+        """
+        start = self.now
+        wheel = cycles > 1 and self.wheel and not self._plain_observers
         observers = self._observers
         stats = self.kernel_stats
         remaining = cycles
@@ -831,23 +823,24 @@ class Simulator:
             # fails the scan anyway, and this keeps the scan itself off the
             # saturated-pipeline fast path.  remaining > 1 keeps the final
             # cycle a real edge, exactly like an unwheeled run.
-            if quiet and remaining > 1:
+            if wheel and quiet and remaining > 1:
                 n = self._skip_now(remaining - 1)
                 if n:
                     self.now += n
                     remaining -= n
                     stats.skipped_cycles += n
                     stats.wheel_jumps += 1
-                    if observers:
-                        for cb in self._obs_onskip:
-                            cb(self.now, n)
+                    for cb in self._obs_onskip:
+                        cb(self.now, n)
                     continue
             self._edge()
             self.now += 1
             remaining -= 1
-            if observers:
-                for obs in observers:
-                    obs(self.now)
+            for obs in observers:
+                obs(self.now)
+            if until is not None and until():
+                break
+        return self.now - start
 
     def run_until(self, predicate: Callable[[], bool], max_cycles: int = 100_000) -> int:
         """Step until ``predicate()`` holds (evaluated on settled state).

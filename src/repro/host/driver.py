@@ -141,19 +141,22 @@ class CoprocessorDriver:
         budget.  None → a link-derived default; ≤0 → disabled.
         """
         engine = self.engine
+        soc = self.soc
         quiet = self._quiet_streak
-        # The idle streak is `now - last_busy`.  A chunk longer than one
-        # cycle is certified pure aging, so the `busy` probe is frozen across
-        # its interior: a chunk that began busy and ended idle observed idle
-        # on its final cycle only.  Capping an idle chunk at the remaining
-        # streak makes the loop stop at exactly the one-cycle loop's cycle.
+        # The idle streak is `now - last_busy`, judged at host wake-ups.
+        # `busy_changed` ends a chunk on the first edge that flips the busy
+        # probe (usually the busy→idle edge), so between wake-ups the probe
+        # holds the value it had at the previous one.  A wake-up that finds
+        # the system idle after a busy one therefore sees the first idle
+        # cycle, and capping an idle chunk at the remaining streak stops the
+        # loop on exactly the cycle a one-cycle loop stops on.
         last_busy = self.sim.now
         was_busy = False
 
         def quiet_reached() -> bool:
             nonlocal last_busy, was_busy
             now = self.sim.now
-            busy = self.soc.busy or not engine.idle
+            busy = soc.busy or not engine.idle
             if busy:
                 last_busy = now
             elif was_busy:
@@ -161,12 +164,16 @@ class CoprocessorDriver:
             was_busy = busy
             return now - last_busy >= quiet
 
+        def busy_changed() -> bool:
+            return (not engine.idle or soc.busy) != was_busy
+
         def streak_left() -> int:
             return 1 << 60 if was_busy else quiet - (self.sim.now - last_busy)
 
         return engine.pump_until(
             quiet_reached, max_cycles=max_cycles, deadline_cycles=deadline_cycles,
             describe=lambda: "system still busy", limit=streak_left,
+            wake=busy_changed,
         )
 
     def wait_for(self, count: int = 1, max_cycles: int = 1_000_000,

@@ -248,6 +248,8 @@ class EngineStats:
     rollbacks: int = 0            # checkpoint restores performed
     replayed: int = 0             # journaled submissions re-sent after rollback
     checkpoints: int = 0          # quiescent-point snapshots taken
+    # -- host loop --
+    wakeups: int = 0              # pump passes: one kernel step, then drain
 
     def as_dict(self) -> dict:
         return {
@@ -276,6 +278,7 @@ class EngineStats:
             "rollbacks": self.rollbacks,
             "replayed": self.replayed,
             "checkpoints": self.checkpoints,
+            "wakeups": self.wakeups,
         }
 
 
@@ -393,6 +396,11 @@ class HostEngine:
         self._last_nack_at = -1
         self._consec_timeouts = 0
         self._clean_completions = 0
+        #: the RTM's execution stage, whose ``retired`` count is progress
+        self._execution = self.soc.rtm.execution
+        #: cycle of the last in-chunk change of ``host.tx_pending`` or
+        #: ``retired`` (None when the last chunk moved neither)
+        self._moved_at: Optional[int] = None
         #: default no-progress deadline of pump_until (cycles)
         hysteresis = getattr(spec, "latency_cycles", 1) + self._cpw
         self.default_progress_deadline = max(50_000, 64 * hysteresis)
@@ -730,18 +738,23 @@ class HostEngine:
         """Snapshot at a quiescent point: engine idle, coprocessor drained,
         no latent taint, no pending check — locks free and pipelines empty,
         so the architectural state alone captures the machine."""
-        if not self._protected or self.fatal_error is not None:
-            return
-        if not self.idle or self._ckpt is not None and not self._journal:
-            return
-        domain = self.soc.state_domain
-        mcu = self.soc.mcu
-        if mcu.pending or domain.tainted or self.soc.busy:
+        if not (self._checkpoint_wanted() and self._coprocessor_quiescent()):
             return
         self._ckpt = snapshot_state(self.soc, cycle=self.sim.now)
         self._journal.clear()
         self._recovered_since_ckpt = False
         self.stats.checkpoints += 1
+
+    def _checkpoint_wanted(self) -> bool:
+        """The host-side half of the checkpoint condition: protected, not
+        poisoned, idle, and either no snapshot yet or submissions since."""
+        return (self._protected and self.fatal_error is None and self.idle
+                and (self._ckpt is None or bool(self._journal)))
+
+    def _coprocessor_quiescent(self) -> bool:
+        """The design-side half: no pending check, no taint, nothing busy."""
+        soc = self.soc
+        return not (soc.mcu.pending or soc.state_domain.tainted or soc.busy)
 
     # -- reliable-mode recovery ---------------------------------------------------
 
@@ -886,23 +899,47 @@ class HostEngine:
             return 1 << 60
         return max(1, slack)
 
-    def _pump_chunk(self, bound: int) -> int:
-        """One pump iteration covering up to ``bound`` cycles; returns cycles run.
+    def _pump_chunk(self, bound: int,
+                    wake: Optional[Callable[[], bool]] = None) -> int:
+        """One host wake-up covering up to ``bound`` cycles; returns cycles run.
 
-        When the simulator certifies (via :meth:`Simulator.fast_forward_limit`)
-        that the next ``limit`` edges are pure aging, the whole stretch is
-        stepped in one call and the wheel compresses it — the host-side
-        drain/deadline work happens once at the end, which is equivalent
-        because nothing observable can move mid-stretch.  With the wheel off
-        (or anything active) this degenerates to the classic one-cycle pump.
+        The kernel steps the whole stretch in one :meth:`Simulator.step`
+        call, wheel jumps and busy edges alike, and hands control back only
+        when the host has something to observe: a word in this engine's
+        receive queue, one of its own timers (:meth:`_timer_slack`), the
+        coprocessor going quiescent while a checkpoint is wanted, or the
+        caller's ``wake()``.  Between those events every host step of a
+        one-cycle loop (flush, drain, deadline check, checkpoint) is a
+        no-op, so running them once at the wake-up is exact.  The watch
+        also stamps ``_moved_at``, the last cycle on which the design moved
+        ``host.tx_pending`` or the retired count — the only progress the
+        host cannot see at a wake-up alone.
         """
         self.flush()
-        n = 1
-        if bound > 1:
-            limit = self.sim.fast_forward_limit(bound)
-            if limit > 1:
-                n = max(1, min(bound, limit, self._timer_slack()))
-        self.sim.step(n)
+        self.stats.wakeups += 1
+        sim = self.sim
+        host = self.host
+        execution = self._execution
+        checkpoint = self._checkpoint_wanted()
+        quiescent = self._coprocessor_quiescent
+        self._moved_at = None
+        tx = host.tx_pending
+        retired = execution.retired
+
+        def watch() -> bool:
+            nonlocal tx, retired
+            now_tx = host.tx_pending
+            now_retired = execution.retired
+            if now_tx != tx or now_retired != retired:
+                tx, retired = now_tx, now_retired
+                self._moved_at = sim.now
+            return bool(
+                host.rx_available
+                or (wake is not None and wake())
+                or (checkpoint and quiescent())
+            )
+
+        n = sim.step(min(bound, self._timer_slack()), until=watch)
         self.drain_words()
         self._check_deadlines()
         if self._protected:
@@ -964,23 +1001,23 @@ class HostEngine:
             else:  # "resync"
                 self.stats.rx_resyncs += 1
 
-    def progress_signature(self) -> tuple:
-        """A cheap tuple that changes whenever the system observably moves.
+    def _host_progress(self) -> tuple:
+        """The host-side progress counters: words sent and received,
+        completions, failures and retransmissions.
 
-        Used by the no-progress deadline of :meth:`pump_until`: words moving in either direction,
-        completions, failures, retransmissions or retired instructions all
-        count as progress; a dead or wedged system holds the tuple still.
+        They move only while the host runs (flush, drain, deadline checks),
+        so comparing them across a wake-up tells whether the host moved on
+        that cycle.  Progress made by the design itself — words leaving the
+        host port, instructions retiring — is stamped per edge into
+        ``_moved_at`` by the :meth:`_pump_chunk` watch.
         """
         stats = self.stats
-        execution = getattr(getattr(self.soc, "rtm", None), "execution", None)
         return (
             stats.words_sent,
             self._words_received,
-            self.host.tx_pending,
             stats.completed,
             stats.failed,
             stats.retransmits,
-            getattr(execution, "retired", 0),
         )
 
     def timeout_error(self, message: str) -> HostTimeoutError:
@@ -1005,6 +1042,7 @@ class HostEngine:
         deadline_cycles: Optional[int] = None,
         describe: Callable[[], str],
         limit: Optional[Callable[[], int]] = None,
+        wake: Optional[Callable[[], bool]] = None,
     ) -> int:
         """The engine's one waiting loop: pump until ``done()`` holds.
 
@@ -1017,15 +1055,18 @@ class HostEngine:
         right after ``done()`` returned False, caps the next chunk for a
         caller that must observe some cycle exactly.
 
-        No chunk crosses the budget, the no-progress trigger or ``limit()``,
-        and a chunk longer than one cycle is certified pure aging, with
-        completions routed (so ``done()`` flips) only at its end: returns
-        and raises land on the cycle a one-cycle loop would reach them.
+        ``done()`` is evaluated only at host wake-ups (see
+        :meth:`_pump_chunk`), so it may read design state only if ``wake()``
+        — checked after every executed edge — ends the chunk on each edge
+        that can change its answer.  No chunk crosses the budget, the
+        no-progress trigger or ``limit()``, and the design's own progress is
+        stamped on the edge it happens: returns and raises land on the
+        cycle a one-cycle loop would reach them.
         """
         self.flush()
         start = self.sim.now
         deadline = self.resolve_deadline(deadline_cycles)
-        signature = self.progress_signature()
+        counters = self._host_progress()
         last_progress = start
         while not done():
             now = self.sim.now
@@ -1043,12 +1084,17 @@ class HostEngine:
                 bound = min(bound, last_progress + deadline - now)
             if limit is not None:
                 bound = min(bound, limit())
-            self._pump_chunk(max(1, bound))
+            self._pump_chunk(max(1, bound), wake)
             self.flush()  # completions may have opened the window
-            current = self.progress_signature()
-            if current != signature:
-                signature = current
+            current = self._host_progress()
+            if current != counters:
+                counters = current
                 last_progress = self.sim.now
+            elif self._moved_at is not None:
+                # Every host action that touches tx_pending or the retired
+                # count (flush, retransmit, rollback-replay) also moves a
+                # host counter, so here the design's last stamp is exact.
+                last_progress = self._moved_at
         return self.sim.now - start
 
     def _backlog(self) -> str:

@@ -160,9 +160,9 @@ class Session:
         Each in-flight ``compute_async`` parks three registers until its
         result streams back, so the register file is a windowed resource
         just like tags: when it runs dry, the engine's one waiting loop
-        (:meth:`HostEngine.pump_until`) pumps in wheel-certified chunks until
-        a completion callback frees one, on exactly the cycle a one-cycle
-        pump would.  Raises :class:`OutOfRegisters` when nothing is in
+        (:meth:`HostEngine.pump_until`) lets the kernel run until a response
+        word arrives and a completion callback frees one, on exactly the
+        cycle a one-cycle pump would.  Raises :class:`OutOfRegisters` when nothing is in
         flight — a genuinely over-committed file — and the engine's
         timeout errors when the link makes no progress for its default
         no-progress deadline.

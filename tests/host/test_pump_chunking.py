@@ -1,11 +1,13 @@
 """Host-loop chunking gate: a throttled pipeline rides the time wheel.
 
-Every host-side wait goes through ``HostEngine.pump_until``, which steps in
-chunks the kernel certifies as pure aging.  Over the 256-cycle-per-word
+Every host-side wait goes through ``HostEngine.pump_until``, which hands the
+kernel whole stretches between host-visible events.  Over the 256-cycle-per-word
 slow-prototype link almost every cycle of a register-throttled
 ``Session.pipeline()`` batch is link-busy aging, so nearly all of them must
-be skipped rather than executed as edges.  The gate counts exact kernel
-events, not wall time, so it cannot flake.
+be skipped rather than executed as edges.  The host itself
+wakes only on host-visible events (an arrived word, one of its timers, its
+wait condition), so its wake-ups are pinned too.  The gates count exact
+kernel and engine events, not wall time, so they cannot flake.
 """
 
 import pytest
@@ -42,6 +44,21 @@ def test_throttled_pipeline_steps_in_chunks():
     assert stats.edge_calls <= now // 10, (
         f"{stats.edge_calls} of {now} cycles stepped as single edges"
     )
+    # the host wakes only for arrived words and its own timers, never for
+    # the link-busy edges in between
+    assert session.driver.engine.stats.wakeups == 48
+
+
+def test_blocking_computes_wake_the_host_per_response_word():
+    """A blocking compute over the integrated link wakes the host once per
+    arrived response word (two per ``DataRecord``), however many cycles
+    the request spends in the pipeline."""
+    system = build_system()
+    session = Session(system)
+    for i in range(100):
+        assert session.compute(ArithOp.ADD, i, 3) == i + 3
+    assert system.sim.now == 2600
+    assert session.driver.engine.stats.wakeups == 200
 
 
 @pytest.mark.parametrize("wheel", [True, False])

@@ -16,7 +16,13 @@ rather than vacuous.
 
 Besides raw ``driver.*`` programs, a register-starved ``Session.pipeline()``
 batch exercises the host engine's register throttle, whose waits must ride
-the wheel in certified chunks without moving a single cycle.
+the wheel between host wake-ups without moving a single cycle.
+
+The host engine wakes only on host-visible events and lets the kernel step
+everything in between.  ``TestChunkedWaitsMatchOneCycleLoop`` swaps every
+wait for the reference ``while not done(): engine.pump(1)`` loop and demands
+identical results, cycle counts, compressed VCDs and host-engine counters
+(all but ``wakeups``, the one figure the chunking is meant to change).
 
 Two tracing regimes are covered, matching the observer contract:
 
@@ -35,6 +41,8 @@ import random
 import pytest
 
 from repro.config import FrameworkConfig
+from repro.faults import StateFaultSpec
+from repro.hdl.errors import SimulationError
 from repro.hdl.vcd import VcdWriter
 from repro.host import CoprocessorDriver, Session
 from repro.isa import ArithOp, LogicOp
@@ -98,8 +106,64 @@ def _pipeline_program(driver, rng):
     return results
 
 
+def _wait_program(driver, rng, *, raw=True):
+    """Every kind of host wait: blocking computes, ``run_until_quiet`` on a
+    busy and on an idle system, a raw ``execute`` + ``wait_for`` (with
+    ``raw``) and a register-starved ``pipeline()`` batch.  A typed failure
+    ends the program and is part of its outcome."""
+    session = Session(driver.system, driver=driver)
+    results = []
+    try:
+        for _ in range(2):
+            results.append(session.compute(ArithOp.ADD, rng.randrange(1 << 16),
+                                           rng.randrange(1 << 16)))
+        # a fixed-length pump across the coprocessor going quiescent (a
+        # protected system checkpoints on that cycle), then run_until_quiet
+        # on a busy system: only the busy→idle edge ends its first chunk
+        driver.write_reg(1, rng.randrange(1 << 16))
+        driver.pump(rng.randrange(20, 60))
+        results.append(getattr(driver.engine._ckpt, "cycle", None))
+        driver.execute(ins.xor(2, 1, 1, dst_flag=1))
+        results.append(driver.run_until_quiet())
+        if raw:
+            driver.execute(ins.get(1))
+            results.extend(m.value for m in driver.wait_for(1))
+        with session.pipeline() as p:
+            for _ in range(rng.randint(4, 7)):
+                op = rng.choice((ArithOp.ADD, ArithOp.SUB, LogicOp.XOR))
+                p.compute(op, rng.randrange(1 << 16), rng.randrange(1 << 16))
+        results.extend(p.results())
+        results.append(driver.run_until_quiet())
+    except SimulationError as exc:
+        results.append(type(exc).__name__)
+    return results
+
+
+def _one_cycle_waits(engine):
+    """Replace the engine's waiting loop and ``pump(n)`` with the reference
+    they must match: ``engine.pump(1)``, one cycle per host pass."""
+    pump = engine.pump
+
+    def one_cycle_pump(cycles=1):
+        for _ in range(cycles):
+            pump(1)
+
+    def pump_until(done, *, max_cycles=1_000_000, **_unused):
+        start = engine.sim.now
+        engine.flush()
+        while not done():
+            if engine.sim.now - start >= max_cycles:
+                raise SimulationError("reference loop out of cycles")
+            pump(1)
+        return engine.sim.now - start
+
+    engine.pump = one_cycle_pump
+    engine.pump_until = pump_until
+
+
 def _run(channel, backend, wheel, seed, *, faults=None, upstream_faults=None,
-         reliable=False, vcd="none", program=_random_program, config=None):
+         reliable=False, vcd="none", program=_random_program, config=None,
+         state_faults=None, one_cycle_waits=False):
     """One full system run; returns everything the modes must agree on."""
     system = build_system(
         config,
@@ -108,6 +172,7 @@ def _run(channel, backend, wheel, seed, *, faults=None, upstream_faults=None,
         wheel=wheel,
         faults=faults,
         upstream_faults=upstream_faults,
+        state_faults=state_faults,
         reliable=reliable,
         window=8,
     )
@@ -126,6 +191,8 @@ def _run(channel, backend, wheel, seed, *, faults=None, upstream_faults=None,
         ]
         writer = VcdWriter(sim, buf, signals=picked, compress_idle=True)
     driver = CoprocessorDriver(system)
+    if one_cycle_waits:
+        _one_cycle_waits(driver.engine)
     results = program(driver, random.Random(seed))
     if writer is not None:
         writer.detach()
@@ -136,6 +203,7 @@ def _run(channel, backend, wheel, seed, *, faults=None, upstream_faults=None,
         "regs": regs,
         "vcd": buf.getvalue(),
         "stats": sim.kernel_stats,
+        "engine": driver.engine.stats,
     }
 
 
@@ -223,3 +291,61 @@ class TestFastForwardEquivalence:
         ]
         _assert_agree(runs)
         assert runs[-1][1]["stats"].skipped_cycles > 0, "wheel never engaged"
+
+
+class TestChunkedWaitsMatchOneCycleLoop:
+    """Every wait, chunked between host-visible events, against the
+    one-cycle ``engine.pump(1)`` loop in each kernel mode."""
+
+    @staticmethod
+    def _compare(channel, sched, wheel, seed, **kwargs):
+        chunked = _run(channel, sched, wheel, seed, vcd="ports", **kwargs)
+        reference = _run(channel, sched, wheel, seed, vcd="ports",
+                         one_cycle_waits=True, **kwargs)
+        _assert_agree([("chunked", chunked), ("one-cycle", reference)])
+        got = chunked["engine"].as_dict()
+        want = reference["engine"].as_dict()
+        assert got.pop("wakeups") < want.pop("wakeups")
+        assert got == want
+        return chunked
+
+    @pytest.mark.parametrize("channel", PRESETS)
+    @pytest.mark.parametrize("sched, wheel", MODES)
+    def test_every_wait_kind(self, channel, sched, wheel):
+        run = self._compare(channel, sched, wheel, seed=17,
+                            program=_wait_program,
+                            config=FrameworkConfig(n_regs=8))
+        assert not any(isinstance(r, str) for r in run["results"]), "a wait failed"
+
+    @pytest.mark.parametrize("sched, wheel", MODES)
+    def test_reliable_fast_bus_with_word_faults(self, sched, wheel):
+        run = self._compare(
+            FAST_BUS, sched, wheel, seed=29,
+            program=lambda d, r: _wait_program(d, r, raw=False),
+            config=FrameworkConfig(n_regs=8), reliable=True,
+            faults=FaultSpec(seed=29, drop_rate=0.02, flip_rate=0.01),
+            upstream_faults=FaultSpec(seed=30, drop_rate=0.02),
+        )
+        stats = run["engine"]
+        assert stats.retransmits + stats.nacks > 0, "recovery never engaged"
+
+    @pytest.mark.parametrize("channel", [PRESETS[0], PRESETS[1]])
+    @pytest.mark.parametrize("sched, wheel", MODES)
+    @pytest.mark.parametrize("seed, outcome", [(55, "recovered"),
+                                               (41, "MachineCheckError")])
+    def test_state_protection_with_upsets(self, channel, sched, wheel, seed,
+                                          outcome):
+        # seed 55 rolls back once and completes; seed 41 takes a second
+        # check before re-quiescing and fails fast
+        run = self._compare(
+            channel, sched, wheel, seed,
+            program=lambda d, r: _wait_program(d, r, raw=False),
+            config=FrameworkConfig(n_regs=8),
+            state_faults=StateFaultSpec(seed=seed, flip_rate=0.1,
+                                        double_rate=0.02),
+        )
+        last = run["results"][-1]
+        assert (last if isinstance(last, str) else "recovered") == outcome
+        stats = run["engine"]
+        assert stats.checkpoints > 0
+        assert stats.rollbacks > 0, "no upset reached the host"
