@@ -4,8 +4,9 @@ compiled backend vs the exhaustive reference kernel.
 Measures simulation throughput (simulated cycles per host second) across
 four kernel modes — the exhaustive reference, the event-driven settle
 scheduler with the time wheel off, the full interpreted kernel with
-cycle-skipping fast-forward, and the compiled (codegen) backend — on the
-designs the paper actually exercises:
+cycle-skipping fast-forward, and the compiled backend (the event kernel
+plus numpy vector executors for the cell arrays) — on the designs the
+paper actually exercises:
 
 * the fig. 4 RTM pipeline under four deployment scenarios —
   back-to-back instruction streaming over the integrated link (the
@@ -356,9 +357,14 @@ def test_kernel_counters_surface():
     assert "settle scheduler" in rep.kernel_table()
     assert "skipped_cycles" in rep.kernel
 
-    compiled = build_system(channel=INTEGRATED, **MODES["compiled"])
+    # the compiled backend's counters describe its vector executors, so
+    # its half builds a system with a ξ-sort cell array
+    compiled = build_system(
+        units={Opcode.XISORT: xisort_factory(n_cells=16)}, **MODES["compiled"]
+    )
     crep = counters_for(compiled)
     assert crep.kernel["compiled_procs"] > 0
+    assert crep.kernel["vectorized_cells"] == 16
     assert "compiled procs" in crep.kernel_table()
 
 

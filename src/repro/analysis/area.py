@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..config import FrameworkConfig
+from ..smem.tree import tree_node_count
 from ..xisort.cell import INTERVAL_BITS
-from ..xisort.tree import tree_node_count
 
 #: LE capacity of the smallest/largest Cyclone I parts (device handbook [3]).
 CYCLONE_EP1C3_LES = 2_910

@@ -6,17 +6,14 @@ a product domain (integer interval × known-bits mask), computed as a
 widening fixpoint over the resolved write sites the lint AST pass
 (:mod:`repro.analysis.lint.astpass`) extracts from every process.
 
-The fixpoint feeds two consumers:
-
-* the ``dataflow.*`` lint rule family
-  (:mod:`repro.analysis.lint.rules_dataflow`) — width-overflow and
-  truncation proofs, constant signals, dead branches, unreachable
-  microcode rows and rename-pool sizing;
-* the compiled backend (:mod:`repro.hdl.compile`) — *width-only* range
-  facts justify mask elision, dead-branch folding and narrower numpy
-  dtypes for vectorized cell arrays (width bounds survive fault injection
-  and checkpoint forces, which is why codegen never consumes the tighter
-  fixpoint ranges).
+The fixpoint feeds the ``dataflow.*`` lint rule family
+(:mod:`repro.analysis.lint.rules_dataflow`) — width-overflow and
+truncation proofs, constant signals, dead branches, unreachable microcode
+rows and rename-pool sizing.  The domain's *width-only* lane rule
+(:func:`vector_width_bits`) also sizes the narrower numpy dtypes of the
+vectorized cell arrays (:func:`repro.smem.array.lane_dtype`): width
+bounds survive fault injection and checkpoint forces, which is why the
+lanes never rest on the tighter fixpoint ranges.
 """
 
 from .domain import AbstractValue, vector_width_bits

@@ -331,7 +331,7 @@ def apply_mask(a: AbstractValue, mask: int) -> AbstractValue:
     return AbstractValue(0, mask)
 
 
-# -- codegen support ----------------------------------------------------------
+# -- vector lanes -------------------------------------------------------------
 
 
 def vector_width_bits(word_bits: int) -> int:

@@ -23,9 +23,9 @@ Soundness policy (the zero-false-positive contract):
   attribute (``design.mutated_attrs``) or rebinds that global.
 
 Width bounds themselves (`0 <= v <= mask`) hold unconditionally — every
-kernel write path masks — which is what lets the compiled backend consume
-width-only facts even under fault injection (see
-:mod:`repro.hdl.compile.frontend`).
+kernel write path masks — which is what lets the narrow vector lanes
+(:func:`repro.smem.array.lane_dtype`) rest on width-only facts even under
+fault injection.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class BranchFact:
 
 @dataclass
 class DataflowResult:
-    """The fixpoint and everything the rules/codegen derive from it."""
+    """The fixpoint and everything the rules derive from it."""
 
     values: dict = field(default_factory=dict)  # Signal -> AbstractValue
     tracked: set = field(default_factory=set)  # signals with tight ranges

@@ -83,8 +83,7 @@ def _is_chain_step_pure(node: ast.AST) -> bool:
 #: ``None`` marks a value the model cannot express (opaque).
 Expr = Optional[tuple]
 
-#: Python operator node → :data:`Expr` operator symbol (also the spelling
-#: the compiled backend emits)
+#: Python operator node → :data:`Expr` operator symbol
 BIN_EXPR_OPS: dict[type, str] = {
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
     ast.Mod: "%", ast.Pow: "**", ast.LShift: "<<", ast.RShift: ">>",
@@ -143,8 +142,7 @@ class FnSummary:
     reads: set = field(default_factory=set)  # chains read via .value/.bit/.bits
     uses: set = field(default_factory=set)  # bare chains (signal iff resolves to one)
     #: the two ordered sets below (dicts with ``None`` values) keep source
-    #: order: the resolver's discovery order breaks ties in the codegen
-    #: guard tuple, so it must not follow string hashing
+    #: order, so the resolver's discovery order never follows string hashing
     calls: dict = field(default_factory=dict)  # (chain, args_taint, arg_aliases)
     writes: list = field(default_factory=list)  # [WriteSite]
     attr_loads: dict = field(default_factory=dict)  # attribute chains loaded
@@ -278,7 +276,7 @@ class _Analyzer:
     def _expr_of(self, node: Optional[ast.AST]) -> Expr:
         if isinstance(node, ast.Constant):
             v = node.value
-            # bool literals stay bools: codegen must tell them from ints
+            # bool literals stay bools (``True`` is an int subclass)
             return ("const", v) if isinstance(v, int) else None
         if isinstance(node, ast.Name):
             local = self.env.get(node.id)
@@ -1016,8 +1014,8 @@ def _resolve_expr(expr: Expr, env: dict[str, Any]) -> Optional[tuple]:
     its Python type (a ``bool`` stays a ``bool``); ``owner`` is the object
     the value was loaded from (``None`` for a global or closure name,
     ``name`` ``"[]"`` for a constant subscript), so the solver can discount
-    attributes some process mutates and codegen can trust only rebind-proof
-    owners.  Anything else makes the whole tree opaque (returns None).
+    attributes some process mutates.  Anything else makes the whole tree
+    opaque (returns None).
     """
     if expr is None:
         return None
@@ -1091,26 +1089,6 @@ def _resolve_expr(expr: Expr, env: dict[str, Any]) -> Optional[tuple]:
             return None
         return ("call", expr[1], args)
     return None
-
-
-def lower_expr(
-    node: ast.AST, local_exprs: dict[str, Expr], env: dict[str, Any],
-) -> tuple[Expr, Optional[tuple]]:
-    """The AST pass's value model of one expression, symbolic and resolved.
-
-    Lowers ``node`` exactly as the pass lowers write values and ``if``
-    tests, with ``local_exprs`` giving the symbolic tree of each local in
-    scope (``None`` for a local the model cannot follow), then resolves
-    the tree against ``env`` (see :func:`root_env`).  Returns ``(symbolic,
-    resolved)``: the symbolic tree is what a caller records when it binds
-    a local; the resolved tree is what
-    :func:`repro.analysis.dataflow.transfer.eval_expr` evaluates.
-    """
-    analyzer = _Analyzer(FnSummary())
-    analyzer.env = {name: _Scope(None, frozenset(), expr)
-                    for name, expr in local_exprs.items()}
-    expr = analyzer.expr_of(node)
-    return expr, _resolve_expr(expr, env)
 
 
 class _Resolver:
@@ -1392,95 +1370,17 @@ def is_reg(sig: Signal) -> bool:
     return isinstance(sig, Reg)
 
 
-# -- compiler front end --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProcClosure:
-    """The proven dependence closure of one process function.
-
-    This is the shared front-end product consumed by both the lint rules
-    and the codegen backend (:mod:`repro.hdl.compile`): the set of signals
-    a process may read or write, the hidden (non-signal) attributes it
-    touches, and — crucially — whether those sets are *complete*.  The
-    code generator may only install a value guard around a process when
-    :attr:`read_complete` holds; lint reports processes where it does not
-    (rule family ``compile.*``) so closure-coverage regressions surface in
-    CI rather than as silently unguarded sweeps.
-    """
-
-    fn: Callable[..., Any]
-    #: Signal objects the process may read (under-approximate if not complete)
-    reads: frozenset
-    #: Signal objects written via ``set``/``force``/``drive``
-    writes: frozenset
-    #: Reg objects staged via ``nxt``/``stage``
-    stages: frozenset
-    #: (id(owner), attr) → (source text, owner) non-signal attribute loads
-    hidden_loads: dict
-    #: (id(owner), attr) → owner attribute stores / container mutations
-    hidden_stores: dict
-    #: closure/global names the process rebinds (hidden mutable state)
-    nonlocal_stores: frozenset
-    unknown_calls: bool
-    opaque_reads: bool
-    opaque_writes: bool
-    parse_failed: bool
-
-    @property
-    def read_complete(self) -> bool:
-        """True when ``reads`` ∪ ``hidden_loads`` provably covers every input."""
-        return not (self.parse_failed or self.unknown_calls or self.opaque_reads)
-
-    @property
-    def write_complete(self) -> bool:
-        """True when ``writes`` ∪ ``stages`` provably covers every output."""
-        return not (self.parse_failed or self.unknown_calls or self.opaque_writes)
-
-
-def closure_of(fn: Callable[..., Any]) -> ProcClosure:
-    """Resolve one process function into its :class:`ProcClosure`.
-
-    Thin adapter over :func:`resolve` that splits write sites into nets
-    and registers and folds the confidence flags into completeness
-    properties — the contract the codegen backend keys its translate /
-    guard / fallback decision on.
-    """
-    r = resolve(fn)
-    writes: set = set()
-    stages: set = set()
-    for site in r.writes:
-        bucket = stages if site.kind == "stage" else writes
-        bucket.update(site.targets)
-    return ProcClosure(
-        fn=fn,
-        reads=frozenset(r.signal_reads),
-        writes=frozenset(writes),
-        stages=frozenset(stages),
-        hidden_loads=dict(r.hidden_loads),
-        hidden_stores=dict(r.hidden_stores),
-        nonlocal_stores=frozenset(r.nonlocal_stores),
-        unknown_calls=r.unknown_calls,
-        opaque_reads=r.opaque_reads,
-        opaque_writes=r.opaque_writes,
-        parse_failed=r.parse_failed,
-    )
-
-
 __all__ = [
     "BIN_EXPR_OPS",
     "CMP_EXPR_OPS",
     "Chain",
     "Expr",
     "FnSummary",
-    "ProcClosure",
     "ResolvedFn",
     "ResolvedWrite",
     "UN_EXPR_OPS",
     "WriteSite",
-    "closure_of",
     "find_def",
-    "lower_expr",
     "resolve",
     "root_env",
     "summarize",

@@ -73,7 +73,6 @@ def register_rule(cls: type) -> type:
 def all_rules() -> dict[str, Rule]:
     """The full registry, importing the built-in rule modules on first use."""
     from . import (  # noqa: F401
-        rules_compile,
         rules_contract,
         rules_dataflow,
         rules_faults,

@@ -1,26 +1,21 @@
-"""Graph-specialized codegen backend for the simulation kernel.
+"""The compiled backend: the event kernel plus numpy vector executors.
 
-``Simulator(top, backend="compiled")`` flattens the elaborated component
-graph into one specialized Python module — rank-ordered combinational
-evaluation with per-process value guards, a fused sequential/commit edge
-phase, and numpy-vectorized executors for SIMD-regular structures — then
-``exec``-compiles it once per system.  Processes whose dependence closure
-the compiler front end (:func:`repro.analysis.lint.astpass.closure_of`)
-cannot prove fall back to interpreted execution automatically, so the
-backend is always safe to select.
+``Simulator(top, backend="compiled")`` builds a :class:`CompiledSimulator`.
+Components that publish a ``__compile_vector__`` hook (the smart-memory
+cell arrays, among them ξ-sort's) hand their SIMD column to a vector
+executor, which replaces the column's interpreted processes with one
+array operation per cycle.  Every other process runs on the unchanged
+event kernel, so the backend is always safe to select and is cycle- and
+trace-identical to ``backend="event"``.
 
 Modules
 -------
 
-* :mod:`.frontend` — classification (translate / guard / fallback) and the
-  AST-to-source translator for the provable process subset;
-* :mod:`.codegen` — emits the specialized module source (settle sweep,
-  edge phase, wheel scan) and manages object hoisting;
-* :mod:`.vector` — vectorized executors for components publishing the
-  ``__compile_vector__`` hook (the ξ-sort cell arrays);
+* :mod:`.vector` — the executor contract and the discovery walk over the
+  component hierarchy;
 * :mod:`.engine` — :class:`~repro.hdl.compile.engine.CompiledSimulator`,
-  the drop-in :class:`~repro.hdl.sim.Simulator` subclass driving the
-  generated module.
+  the :class:`~repro.hdl.sim.Simulator` subclass that splices the
+  executors into the event kernel's settle, edge, wheel and reset.
 """
 
 from .engine import CompiledSimulator

@@ -1,91 +1,37 @@
 """The compiled-backend simulator driver.
 
 :class:`CompiledSimulator` is the object ``Simulator(top,
-backend="compiled")`` actually constructs.  It reuses the base class's
-elaboration (process/register/hook collection, signal claiming) and the
-public stepping API unchanged, and replaces the settle and edge phases
-with calls into the module generated by :mod:`.codegen`:
+backend="compiled")`` actually constructs.  It is the event kernel plus
+the vector executors of :mod:`.vector`: every component that publishes
+``__compile_vector__`` hands its SIMD column to a numpy executor, the
+processes that executor absorbs leave the scheduler lists, and every
+other process is scheduled exactly as under ``backend="event"``.
 
-* **settle** is a guarded polling sweep run to fixpoint.  The quiescent
-  fast path skips the sweep entirely when nothing changed since the last
-  settle (no pending change notifications, no edge work, and no
-  unguarded fallback process that must run regardless).
-* **edge** is the generated fused sequential/commit phase.
-* the **time wheel** is inherited; only the jump-precondition scan is
-  replaced (generated per-process would-run checks plus the vectorized
-  executors' horizons).
-
-Every guard compares by value, so the backend needs no fanout maps and
-no read tracking on the hot path — external pokes are observed through
-the ordinary pending-list notification that :meth:`Signal.set` and
-:meth:`Signal.force` already perform.
+* **settle** runs each executor's dirty-guarded fold, then the event
+  settle.  A fold drives its output ports through ``Signal.set``, so its
+  changes reach the event queue like any other write.
+* **edge** runs the event kernel's sequential phase, then each
+  executor's edge (against the same settled values), then the atomic
+  register commit.
+* the **time wheel** is inherited; the jump scan adds each executor's
+  horizon (``0`` while a real command is on the bus).
+* **reset** restores each executor's power-on state after the component
+  reset hooks and before the re-settle.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
 
-from .. import signal as _signal_mod
 from ..component import Component
-from ..errors import CombinationalLoopError
-from ..signal import CHANGES
 from ..sim import MAX_SETTLE_ITERATIONS, Simulator
-from .codegen import CombPlan, GeneratedModule, Hoister, SeqPlan, generate, reset_guards
-from .frontend import Translator, _snap, closure_of, guard_eligible, guard_reads
 from .vector import collect_executors
 
 __all__ = ["CompiledSimulator"]
 
 
-class _DynamicSeq:
-    """Runtime-tracked fallback for pure sequential processes.
-
-    Used when a process is declared ``pure`` but the front end cannot
-    prove its closure statically.  The event kernel's discovery trick is
-    replayed at the edge: run under read tracking, then poll the recorded
-    values.  The process is skipped when its last run staged nothing and
-    no recorded read changed — the same dormancy contract the event
-    kernel applies, except by value polling instead of notifications (so
-    unmanaged reads are handled instead of pinning the process awake).
-    """
-
-    __slots__ = ("fn", "reads", "vals", "staged")
-
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn = fn
-        self.reads: set = set()
-        self.vals: list = []
-        self.staged = True  # first edge always runs
-
-    def would_run(self) -> bool:
-        if self.staged:
-            return True
-        for sig, val in self.vals:
-            if sig._value != val:
-                return True
-        return False
-
-    def run(self) -> int:
-        if not self.would_run():
-            return 0
-        tracker = CHANGES
-        before = tracker.stages
-        _signal_mod._READS = self.reads
-        try:
-            self.fn()
-        finally:
-            _signal_mod._READS = None
-        self.staged = tracker.stages != before
-        self.vals = [(sig, sig._value) for sig in self.reads]
-        return 1
-
-    def reset(self) -> None:
-        self.staged = True
-
-
 class CompiledSimulator(Simulator):
-    """Graph-specialized codegen backend (see :mod:`repro.hdl.compile`)."""
+    """Event kernel plus vector executors (see :mod:`repro.hdl.compile`)."""
 
     def __init__(
         self,
@@ -95,313 +41,39 @@ class CompiledSimulator(Simulator):
         backend: str = "compiled",
     ):
         t0 = time.perf_counter()
-        # Elaborate exactly like the event kernel (signals claimed onto our
-        # pending list, fanouts cleared); the scheduler machinery it sets up
-        # stays unused because every phase entry point is overridden here.
         super().__init__(top, max_settle=max_settle, wheel=wheel)
         self.backend = "compiled"
-        self._needs_discovery = False  # keeps fast_forward_limit() live
-        #: the last edge (or reset) may have changed state outside the
-        #: pending list — vectorized executors, power-on values
-        self._edge_dirty = True
-        self._dyn: list[_DynamicSeq] = []
-        self._compile()
-        self.kernel_stats.compile_ms = (time.perf_counter() - t0) * 1e3
-
-    # -- compilation -----------------------------------------------------------
-
-    def _compile(self) -> None:
-        executors, absorbed = collect_executors(self.top)
+        executors, absorbed = collect_executors(top)
         self._executors = executors
-        hoist = Hoister()
-        closures: dict = {}
-        order = {sig: i for i, sig in enumerate(self.top.all_signals())}
-        #: range-informed codegen counters, shared across all Translators
-        tx_stats: dict = {"masks_elided": 0, "branches_folded": 0}
-
-        comb_plans: list[CombPlan] = []
-        n_absorbed = 0
-        for i, p in enumerate(self._procs):
-            if id(p.fn) in absorbed:
-                n_absorbed += 1
-                continue
-            closure = self._closure_or_none(p.fn)
-            if p.always or closure is None or not guard_eligible(closure):
-                comb_plans.append(
-                    CombPlan(fn=p.fn, index=i, kind="unguarded",
-                             wheeled=p.wheeled, always=p.always)
-                )
-                continue
-            sigs, hidden, wake = guard_reads(closure, order)
-            body = Translator(p.fn, closure, hoist, stats=tx_stats).translate()
-            plan = CombPlan(
-                fn=p.fn,
-                index=i,
-                kind="translated" if body is not None else "guarded",
-                wheeled=p.wheeled,
-                guard_sigs=sigs,
-                guard_hidden=hidden,
-                wake_sigs=wake,
-                body=body,
-            )
-            closures[i] = closure
-            comb_plans.append(plan)
-        self._rank_plans(comb_plans, closures)
-
-        seq_plans: list[SeqPlan] = []
-        dynamic_runs: dict = {}
-        dynamic_scans: dict = {}
-        for j, sp in enumerate(self._seqprocs):
-            if id(sp.fn) in absorbed:
-                n_absorbed += 1
-                continue
-            closure = self._closure_or_none(sp.fn)
-            # Skipping is sound when the closure is fully proven *and* the
-            # process performs no combinational set() writes (re-running a
-            # stage-only process with unchanged inputs restages the same
-            # values).  A declared-pure process keeps the event kernel's
-            # wider dormancy contract even when it does write signals.
-            guardable = (
-                closure is not None
-                and guard_eligible(closure)
-                and closure.write_complete
-                and not closure.hidden_stores
-                and not closure.nonlocal_stores
-                and (sp.pure or not closure.writes)
-            )
-            if guardable:
-                sigs, hidden, _wake = guard_reads(closure, order)
-                body = Translator(sp.fn, closure, hoist,
-                                  stats=tx_stats).translate()
-                seq_plans.append(
-                    SeqPlan(
-                        fn=sp.fn,
-                        index=j,
-                        kind="translated" if body is not None else "guarded",
-                        wheeled=sp.wheeled,
-                        guard_sigs=sigs,
-                        guard_hidden=hidden,
-                        body=body,
-                    )
-                )
-            elif sp.pure:
-                helper = _DynamicSeq(sp.fn)
-                self._dyn.append(helper)
-                dynamic_runs[j] = helper.run
-                dynamic_scans[j] = helper.would_run
-                seq_plans.append(
-                    SeqPlan(fn=sp.fn, index=j, kind="dynamic", wheeled=sp.wheeled)
-                )
-            else:
-                seq_plans.append(
-                    SeqPlan(fn=sp.fn, index=j, kind="always", wheeled=sp.wheeled)
-                )
-
-        namespace: dict = {
-            "_CH": CHANGES,
-            "_U": _signal_mod._UNSET,
-            "_SL": self._staged_regs,
-            "_CHG": self._changed,
-            "_snap": _snap,
-        }
-        module: GeneratedModule = generate(
-            comb_plans, seq_plans, executors, hoist, namespace,
-            dynamic_runs, dynamic_scans,
-        )
-        self._module = module
-        self._sweep_fn = module.sweep
-        self._edge_fn = module.edge
-        self._scan_seq_fn = module.scan_seq
-        self._guards = module.guards
-        self._comb_plans = comb_plans
-        self._seq_plans = seq_plans
-
-        unguarded = [pl for pl in comb_plans if pl.kind == "unguarded"]
-        self._has_unguarded_comb = bool(unguarded)
-        #: fast-forward soundness mirrors the event kernel's
-        #: ``_always_covered``: every declared ``always=True`` process must
-        #: belong to a wheeled component.  Merely-unprovable fallbacks get
-        #: no veto — the event kernel value-tracks those same processes and
-        #: jumps over them; nothing can mutate their hidden inputs inside a
-        #: jump, because no process (and no host code) runs during one.
-        self._comb_covered = all(pl.wheeled for pl in unguarded if pl.always)
-        self._seq_always_unwheeled = any(
-            pl.kind == "always" and not pl.wheeled for pl in seq_plans
-        )
-
+        n_procs = len(self._procs) + len(self._seqprocs)
+        self._procs = [p for p in self._procs if id(p.fn) not in absorbed]
+        self._seqprocs = [sp for sp in self._seqprocs if id(sp.fn) not in absorbed]
+        # runs after the component reset hooks, before reset()'s re-settle
+        self._resets.extend(ex.on_reset for ex in executors)
         stats = self.kernel_stats
-        specialized = [pl for pl in comb_plans if pl.kind != "unguarded"]
-        seq_specialized = [pl for pl in seq_plans if pl.kind in ("translated", "guarded")]
-        stats.compiled_procs = len(specialized) + len(seq_specialized) + n_absorbed
-        stats.fallback_procs = len(unguarded) + sum(
-            1 for pl in seq_plans if pl.kind in ("dynamic", "always")
-        )
+        stats.compiled_procs = n_procs - len(self._procs) - len(self._seqprocs)
         stats.vectorized_cells = sum(ex.n_cells for ex in executors)
-        stats.tracked_procs = len(specialized)
-        stats.always_procs = len(unguarded)
-        stats.masks_elided = tx_stats["masks_elided"]
-        stats.branches_folded = tx_stats["branches_folded"]
-
-    @staticmethod
-    def _closure_or_none(fn: Callable[[], None]) -> Optional[Any]:
-        try:
-            return closure_of(fn)
-        except Exception:
-            return None
-
-    def _rank_plans(self, plans: list, closures: dict) -> None:
-        """Topological depths over the proven writer→reader graph.
-
-        Same saturation scheme as the event kernel's ``_rank_procs``:
-        ranks are a sweep-ordering hint, correctness comes from running to
-        fixpoint, and cycles simply saturate.  Unguarded plans have no
-        proven closure and run after the ranked section regardless.
-        """
-        ranked = [pl for pl in plans if pl.index in closures]
-        writers: dict = {}
-        for pl in ranked:
-            for sig in closures[pl.index].writes:
-                writers.setdefault(sig, []).append(pl)
-        n = len(ranked)
-        for _ in range(n):
-            moved = False
-            for pl in ranked:
-                r = 0
-                for sig in closures[pl.index].reads:
-                    for w in writers.get(sig, ()):
-                        if w is not pl and w.rank >= r:
-                            r = w.rank + 1
-                if r > n:
-                    r = n
-                if r != pl.rank:
-                    pl.rank = r
-                    moved = True
-            if not moved:
-                break
-
-    # -- settle phase ----------------------------------------------------------
-
-    def _wake_all(self) -> None:
-        """Flag every ranked guard for a re-poll on the next sweep."""
-        wake = self._module.wake
-        for i in range(len(wake)):
-            wake[i] = True
+        stats.compile_ms = (time.perf_counter() - t0) * 1e3
 
     def settle(self) -> int:
-        stats = self.kernel_stats
-        stats.settle_calls += 1
-        quiet_in = not self._changed and not self._edge_dirty
-        if quiet_in and not self._has_unguarded_comb:
-            # Nothing moved since the last fixpoint: every guard would
-            # compare equal, so the sweep is skipped outright.
-            stats.quiescent_settles += 1
-            return 0
-        if self._edge_dirty:
-            # State moved without pending-list notifications (vectorized
-            # executors, reset forces): no fanout entry fired, so every
-            # guard must re-poll.
-            self._wake_all()
-            self._edge_dirty = False
-        tracker = CHANGES
-        sweep = self._sweep_fn
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > self.max_settle:
-                # Leave a recoverable engine behind the diagnostic: force
-                # every guard to re-run and mark state suspect.
-                reset_guards(self._guards)
-                self._wake_all()
-                for dyn in self._dyn:
-                    dyn.reset()
-                self._edge_dirty = True
-                unstable = self._find_unstable()
-                raise CombinationalLoopError(self.now, self.max_settle, unstable)
-            tracker.dirty = False
-            stats.activations += sweep()
-            if not tracker.dirty:
-                break
-        del self._changed[:]
-        stats.settle_iterations += iterations
-        if quiet_in and iterations == 1:
-            # Only the unguarded fallbacks ran, and they changed nothing:
-            # report quiescence, so the wheel may attempt a jump — the
-            # event kernel reaches the same state with an empty queue.
-            return 0
-        return iterations
-
-    # -- edge phase ------------------------------------------------------------
+        for ex in self._executors:
+            if ex.settle():
+                self.kernel_stats.activations += 1
+        return super().settle()
 
     def _edge(self) -> None:
-        stats = self.kernel_stats
-        stats.edge_calls += 1
-        ran, vec = self._edge_fn()
-        if vec:
-            # Vectorized state changed without pending-list notifications;
-            # the next settle must not take the quiescent fast path.
-            self._edge_dirty = True
-        stats.seq_runs += ran
-
-    # -- time-wheel fast-forward -----------------------------------------------
+        self.kernel_stats.edge_calls += 1
+        self._seq_phase()
+        for ex in self._executors:
+            ex.edge()
+        self._commit()
 
     def _skip_scan(self, limit: int) -> int:
-        if not self._comb_covered or self._seq_always_unwheeled:
-            return 0
-        if self._scan_seq_fn():
-            return 0
-        n = limit
-        for horizon, _ in self._wheel_hooks:
-            h = horizon()
-            if h is not None and h < n:
-                if h <= 0:
-                    return 0
-                n = h
+        n = super()._skip_scan(limit)
         for ex in self._executors:
+            if not n:
+                break
             h = ex.horizon()
             if h is not None and h < n:
-                if h <= 0:
-                    return 0
-                n = h
+                n = max(h, 0)
         return n
-
-    # -- reset -----------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Asynchronous whole-design reset (see :meth:`Simulator.reset`).
-
-        Signal values change wholesale without notifications, so every
-        guard is forced to mismatch and the vectorized executors restore
-        their power-on state before the full re-settle.
-        """
-        for sig in self.top.all_signals():
-            if isinstance(sig, _signal_mod.Reg):
-                sig.reset_state()
-            else:
-                sig.force(sig.reset)
-        self._staged_regs.clear()
-        for hook in self._resets:
-            hook()
-        for ex in self._executors:
-            ex.on_reset()
-        reset_guards(self._guards)
-        self._wake_all()
-        for dyn in self._dyn:
-            dyn.reset()
-        self._changed.clear()
-        self._edge_dirty = True
-        self.settle()
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def generated_source(self) -> str:
-        """The specialized module's Python source (debug/inspection aid)."""
-        return self._module.source
-
-    def discovered_dependencies(self) -> dict:
-        """The compiled backend keeps no runtime-discovered read sets.
-
-        Dependence information lives in the front end's static closures;
-        ``discovered: False`` tells lint to rely on its own AST pass.
-        """
-        return {"comb": [], "seq": [], "discovered": False}

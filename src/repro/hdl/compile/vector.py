@@ -6,16 +6,17 @@ time, it returns an *executor* (or ``None`` to decline) that absorbs a
 set of interpreted processes and replaces them with array operations:
 
 * ``absorbed`` — iterable of the process functions the executor replaces;
-  the code generator drops them from the sweep/edge plans entirely.
+  the engine drops them from the event kernel's scheduler lists.
 * ``settle()`` — recompute the combinational outputs derived from the
-  vector state, returning True when work was done.  Implementations
-  epoch-guard this so repeated sweeps of one settle cost nothing.
+  vector state, returning True when work was done.  Called at the start
+  of every settle, so implementations dirty-guard it: it works only after
+  an edge applied a real command (or after reset).
 * ``edge()`` — apply one clock edge to the vector state, returning True
   when state actually changed (the engine then re-settles next cycle).
 * ``horizon()`` — time-wheel contribution: ``0`` vetoes the next jump
   (real work pending), ``None`` leaves other hooks in charge.
-* ``on_reset()`` — restore power-on state (called from
-  :meth:`CompiledSimulator.reset` after the component reset hooks).
+* ``on_reset()`` — restore power-on state (called by
+  :meth:`Simulator.reset` after the component reset hooks).
 * ``n_cells`` — element count, reported in ``KernelStats.vectorized_cells``.
 
 The concrete executors live next to the structures they vectorize (the
@@ -56,7 +57,7 @@ def collect_executors(top: Component) -> tuple[list, set]:
 
     Returns ``(executors, absorbed_fn_ids)``; a component without the
     hook — or whose hook declines by returning ``None`` — stays on the
-    interpreted/specialized scalar path.
+    event kernel.
     """
     executors: list = []
     absorbed: set = set()

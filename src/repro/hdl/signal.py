@@ -193,11 +193,8 @@ class Signal:
 
         The owning simulator is still notified of the change so that an
         event-driven settle following the force re-evaluates the fanout.
-        The notification is unconditional: the compiled backend never
-        populates fanout lists (its generated sweep polls value guards
-        instead), so it relies on every forced change landing in the
-        pending list; for the event kernel, draining a signal with an
-        empty fanout is a cheap no-op.
+        The notification is unconditional: draining a signal with an empty
+        fanout is a cheap no-op.
         """
         if self._mask is not None:
             value = int(value) & self._mask
@@ -295,9 +292,8 @@ class Reg(Signal):
         changed = self._staged != self._value
         self._value = self._staged
         self._staged = _UNSET
-        # Notify unconditionally: the compiled backend keeps no fanout maps
-        # (its settle polls value guards off the pending list), and for the
-        # event kernel draining a fanout-less register is a cheap no-op.
+        # Notify unconditionally: draining a fanout-less register is a
+        # cheap no-op.
         if changed and self._pending is not None:
             self._pending.append(self)
         return changed

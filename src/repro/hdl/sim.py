@@ -18,9 +18,9 @@ model behaviourally inside the unit when needed).
 Settle scheduling
 -----------------
 
-Two interpreted backends implement the settle phase (a third,
-``backend="compiled"``, specializes the design into generated Python — see
-:mod:`repro.hdl.compile`):
+Two backends implement the settle phase (a third, ``backend="compiled"``,
+is the event kernel with SIMD cell arrays handed to numpy vector
+executors — see :mod:`repro.hdl.compile`):
 
 * ``backend="event"`` (the default) — dependency-tracked, event-driven
   evaluation.  The first settle after elaboration (and after
@@ -194,21 +194,20 @@ class KernelStats:
     skipped_cycles: int = 0
     #: number of time-wheel jumps taken
     wheel_jumps: int = 0
-    #: processes the codegen backend translated or value-guarded (compiled
-    #: backend only; 0 under the interpreted kernels)
+    #: processes absorbed by vector executors (compiled backend only; 0
+    #: under the interpreted kernels)
     compiled_procs: int = 0
-    #: processes the compiler front end could not prove a closure for —
-    #: they run unguarded on every compiled settle sweep
+    #: fixed at 0, like ``masks_elided``: no backend has per-process
+    #: fallbacks or mask elision.  ``perfbench/workloads.py``'s traced
+    #: snapshot still reads both; ROADMAP item 2's tracer upkeep retires them.
     fallback_procs: int = 0
     #: SIMD cells absorbed into vectorized executors (compiled backend)
     vectorized_cells: int = 0
-    #: one-time codegen + exec cost, in milliseconds (compiled backend)
+    #: one-time elaboration + executor set-up cost, in milliseconds
+    #: (compiled backend)
     compile_ms: float = 0.0
-    #: width masks the code generator proved redundant and dropped
-    #: (range-informed codegen; compiled backend only)
+    #: always 0 (see ``fallback_procs``)
     masks_elided: int = 0
-    #: branches the code generator folded on a proven-constant guard
-    branches_folded: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -232,7 +231,6 @@ class KernelStats:
             "vectorized_cells": self.vectorized_cells,
             "compile_ms": self.compile_ms,
             "masks_elided": self.masks_elided,
-            "branches_folded": self.branches_folded,
         }
 
 
@@ -253,12 +251,11 @@ class Simulator:
     backend:
         The kernel that executes the design.  ``"event"`` (default) is
         the dependency-tracked scheduler; ``"exhaustive"`` is the
-        reference kernel; ``"compiled"`` selects the codegen backend
-        (:mod:`repro.hdl.compile`): the elaborated graph is flattened
-        into specialized straight-line Python, with automatic per-process
-        fallback to interpreted execution where the compiler front end
-        cannot prove a closure.  All backends are cycle-exact and produce
-        identical traces.
+        reference kernel; ``"compiled"`` is the event kernel with every
+        component that publishes ``__compile_vector__`` (the smart-memory
+        cell arrays) run by a numpy vector executor
+        (:mod:`repro.hdl.compile`).  All backends are cycle-exact and
+        produce identical traces.
 
     A design must be driven by at most one live simulator: elaboration
     claims every signal's change-notification hook for this instance.
@@ -689,8 +686,13 @@ class Simulator:
     # -- edge phase ------------------------------------------------------------
 
     def _edge(self) -> None:
+        self.kernel_stats.edge_calls += 1
+        self._seq_phase()
+        self._commit()
+
+    def _seq_phase(self) -> None:
+        """Run the sequential processes against the settled values."""
         stats = self.kernel_stats
-        stats.edge_calls += 1
         if self.backend != "exhaustive":
             ran = 0
             tracker = CHANGES
@@ -723,6 +725,9 @@ class Simulator:
             for proc in self._seq:
                 proc()
             stats.seq_runs += len(self._seq)
+
+    def _commit(self) -> None:
+        """Atomically commit every register staged this edge."""
         # Only registers that were actually staged this cycle need a commit;
         # Reg.stage enrols each register in _staged_regs on first staging.
         staged = self._staged_regs

@@ -34,8 +34,7 @@ The obligations
    :class:`~repro.smem.array.SmartArrayExecutor` satisfying
    :class:`repro.hdl.compile.vector.VectorExecutor`, absorbing the
    column's interpreted processes so the compiled backend runs the whole
-   array as a handful of NumPy operations per cycle — with zero
-   interpreted fallbacks on a bare core (controller included).
+   array as a handful of NumPy operations per cycle.
 """
 
 from __future__ import annotations

@@ -19,9 +19,8 @@ overrides:
 
 Overrides must stay within the closure rules of
 :mod:`repro.analysis.lint.astpass` (tracked Signal reads, resolvable
-bound-method calls) so the compiled backend can value-guard the two
-controller processes — the kit's cores compile with zero interpreted
-fallbacks, and the conformance suite holds implementers to that.
+bound-method calls) so the lint and dataflow passes can model the two
+controller processes.
 """
 
 from __future__ import annotations

@@ -97,8 +97,9 @@ class SystemBuilder:
     #: :class:`~repro.analysis.lint.LintFailure` on an error-severity rule,
     #: ``"off"`` skips the check.
     lint: str = "warn"
-    #: Simulation kernel: ``"event"``, the ``"exhaustive"`` reference or the
-    #: ``"compiled"`` codegen backend (:mod:`repro.hdl.compile`); all are
+    #: Simulation kernel: ``"event"``, the ``"exhaustive"`` reference or
+    #: ``"compiled"`` (the event kernel plus numpy executors for the
+    #: smart-memory cell arrays, :mod:`repro.hdl.compile`); all are
     #: cycle-exact with identical traces.
     backend: str = "event"
 

@@ -7,6 +7,7 @@ framework by a functional-unit adapter.  Every operation takes a fixed
 number of clock cycles regardless of the number of elements.
 """
 
+from ..smem.tree import NodeValue, TreeNetwork, fold_reduce, tree_depth, tree_node_count
 from .adapter import XiSortUnit, xisort_factory
 from .algorithm import XiSortAccelerator
 from .cell import INTERVAL_BITS, SENTINEL, Cell, CellCmd, CellState, cell_step
@@ -40,7 +41,6 @@ from .reference import (
     quickselect_counted,
     quicksort_counted,
 )
-from .tree import NodeValue, TreeNetwork, fold_reduce, tree_depth, tree_node_count
 
 __all__ = [
     "XiSortUnit",

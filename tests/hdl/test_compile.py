@@ -1,10 +1,12 @@
-"""Unit tests for the compiled (codegen) simulation backend.
+"""Unit tests for the compiled simulation backend.
 
-Covers backend selection/dispatch, the front end's three-way
-classification (translated / guarded / unguarded fallback), guard
-dormancy under external forces, sequential dormancy semantics, loop
-diagnostics and recovery, reset, the vectorized cell-array executors,
-and the codegen counters surfaced through ``KernelStats``.
+The backend is the event kernel plus the vector executors.  Covers
+backend selection/dispatch, parity with the event kernel on designs the
+executors do not touch (opaque callbacks, hidden mutable state,
+data-dependent read sets, external forces), loop diagnostics and
+recovery, reset, the vectorized cell-array executors, the counters
+surfaced through ``KernelStats``, and the import layering between the
+backend and the analysis packages.
 """
 
 import os
@@ -21,7 +23,6 @@ from repro.hdl import (
     Simulator,
 )
 from repro.hdl.compile.engine import CompiledSimulator
-from repro.hdl.compile.frontend import closure_of, guard_reads
 
 
 class AdderChain(Component):
@@ -49,7 +50,7 @@ class AdderChain(Component):
 
 
 class HiddenCallback(Component):
-    """The comb proc calls an opaque Python callback: unguarded fallback."""
+    """The comb proc calls an opaque Python callback."""
 
     def __init__(self, fn):
         super().__init__("cb")
@@ -65,7 +66,7 @@ class HiddenCallback(Component):
 
 
 class MutableHidden(Component):
-    """Comb proc reads a hidden *mutable* attribute: must not be guarded."""
+    """Comb proc reads a hidden *mutable* attribute (``always=True``)."""
 
     def __init__(self):
         super().__init__("mut")
@@ -80,7 +81,7 @@ class MutableHidden(Component):
 
 
 class BuiltinCall(Component):
-    """Comb proc calls a builtin: lint models it, the emitter does not."""
+    """Comb proc calls a builtin."""
 
     def __init__(self):
         super().__init__("mn")
@@ -91,42 +92,6 @@ class BuiltinCall(Component):
         @self.comb
         def _min():
             self.y.set(min(self.a.value, self.b.value))
-
-        self.seq(lambda: None)
-
-
-class _Flag:
-    """Plain helper object whose method reads a hidden attribute."""
-
-    def __init__(self):
-        self.ready = 1
-
-    def ok(self) -> int:
-        return self.ready
-
-
-class TwoFlags(Component):
-    """Guard inputs that tie on every name-based key.
-
-    Both helpers' ``ready`` loads have the same attribute and the same
-    source text (``self.ready`` inside ``_Flag.ok``), and both lanes'
-    signals have the same hierarchical name.  ``first`` picks which
-    helper is allocated first, so an address-based order would flip.
-    """
-
-    def __init__(self, first="fa"):
-        super().__init__("flags")
-        order = ("fa", "fb") if first == "fa" else ("fb", "fa")
-        made = {name: _Flag() for name in order}
-        self.fa, self.fb = made["fa"], made["fb"]
-        self.lanes = [Component("lane", parent=self) for _ in range(2)]
-        self.vs = [lane.signal("v", 8, 0) for lane in self.lanes]
-        self.y = self.signal("y", 8, 0)
-
-        @self.comb
-        def _gate():
-            if self.fa.ok() and self.fb.ok():
-                self.y.set(self.vs[0].value ^ self.vs[1].value)
 
         self.seq(lambda: None)
 
@@ -152,17 +117,14 @@ class TestBackendSelection:
     def test_compiled_counters_populated(self):
         sim = Simulator(AdderChain(), backend="compiled")
         stats = sim.kernel_stats.as_dict()
-        assert stats["compiled_procs"] >= 3  # two comb + one seq specialized
+        # no cell array: nothing is absorbed, everything is event-scheduled
+        assert stats["compiled_procs"] == 0
+        assert stats["vectorized_cells"] == 0
         assert stats["fallback_procs"] == 0
         assert stats["compile_ms"] > 0
         for key in ("compiled_procs", "fallback_procs", "vectorized_cells",
-                    "compile_ms"):
+                    "compile_ms", "masks_elided"):
             assert key in stats
-
-    def test_generated_source_exposed(self):
-        sim = Simulator(AdderChain(), backend="compiled")
-        src = sim.generated_source
-        assert "_sweep" in src and "_edge" in src and "_scan_seq" in src
 
 
 class TestTranslatedExecution:
@@ -200,12 +162,11 @@ class TestTranslatedExecution:
 
 class TestFallbacks:
     def test_opaque_callback_still_correct(self):
-        # eval keeps the callback's source out of inspect's reach, so the
-        # front end genuinely cannot see through the call.
+        # eval keeps the callback's source out of inspect's reach, so no
+        # static pass can see through the call.
         fn = eval("lambda v: (v * 3 + 1) & 0xFF")
         make = lambda: HiddenCallback(fn)
         (te, se), (tc, sc) = _pair(make)
-        assert sc.kernel_stats.fallback_procs >= 1
         for sim in (se, sc):
             sim.reset()
         for v in (0, 1, 7, 200, 255):
@@ -219,8 +180,8 @@ class TestFallbacks:
         sim = Simulator(top, backend="compiled")
         sim.reset()
         assert top.out.value == 5
-        # Mutation is invisible to change notification; only an unguarded
-        # fallback (re-run every settle sweep) can observe it.
+        # Mutation is invisible to change notification; only an always-run
+        # process (re-run on every settle) can observe it.
         top.table[0] = 42
         sim.step()
         assert top.out.value == 42
@@ -253,12 +214,8 @@ class TestFallbacks:
                 sim.step(2)
             assert te.out.value == tc.out.value
 
-
-    def test_builtin_call_is_guarded_not_translated(self):
+    def test_builtin_call_matches_event(self):
         (te, se), (tc, sc) = _pair(BuiltinCall)
-        kinds = {p.fn.__name__: p.kind for p in sc._comb_plans}
-        assert kinds["_min"] == "guarded"
-        assert "min(" not in sc.generated_source
         for sim in (se, sc):
             sim.reset()
         for a, b in ((9, 4), (2, 200), (255, 255)):
@@ -267,38 +224,6 @@ class TestFallbacks:
                 top.b.set(b)
                 sim.step()
             assert te.y.value == tc.y.value == min(a, b)
-
-
-class TestDeterministicCodegen:
-    def test_guard_order_is_fixed_by_the_design(self):
-        for first in ("fa", "fb"):
-            top = TwoFlags(first)
-            order = {sig: i for i, sig in enumerate(top.all_signals())}
-            fn = top.comb_procs[0]
-            sigs, hidden, _wake = guard_reads(closure_of(fn), order)
-            # signals: hierarchical name, then elaboration position
-            assert sigs == top.vs
-            # hidden loads: attribute name, then source order of the calls
-            assert [owner for owner, _attr, _mode in hidden] == [top.fa, top.fb]
-
-    def test_guard_order_independent_of_hash_seed(self):
-        # the resolver walks sets of source chains; string hashing must
-        # not leak into the order hidden loads are discovered in
-        script = (
-            "from repro.hdl.compile.frontend import closure_of, guard_reads\n"
-            "from tests.hdl.test_compile import TwoFlags\n"
-            "top = TwoFlags()\n"
-            "_, hidden, _ = guard_reads(closure_of(top.comb_procs[0]), {})\n"
-            "print(' '.join('fa' if o is top.fa else 'fb' for o, _, _ in hidden))\n"
-        )
-        root = Path(__file__).resolve().parents[2]
-        path = os.pathsep.join([str(root / "src"), str(root)])
-        for seed in ("0", "1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-            out = subprocess.run([sys.executable, "-c", script], env=env,
-                                 cwd=root, capture_output=True, text=True,
-                                 check=True)
-            assert out.stdout.split() == ["fa", "fb"], seed
 
 
 class TestLoopsAndReset:
@@ -386,9 +311,48 @@ class TestSystemIntegration:
 
     def test_counters_for_surfaces_codegen_stats(self):
         from repro.analysis import counters_for
+        from repro.fu.registry import default_registry
+        from repro.isa.opcodes import Opcode
         from repro.system import build_system
+        from repro.xisort import xisort_factory
 
-        system = build_system(backend="compiled", lint="off")
+        registry = default_registry()
+        registry.register(Opcode.XISORT, xisort_factory(n_cells=16))
+        system = build_system(registry=registry, backend="compiled", lint="off")
         report = counters_for(system)
         assert report.kernel["compiled_procs"] > 0
+        assert report.kernel["vectorized_cells"] == 16
         assert "compiled procs" in report.kernel_table()
+
+
+def _modules_after(statements: str) -> set:
+    """``repro`` modules loaded by ``statements`` in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[2]
+    script = (
+        "import sys\n"
+        f"{statements}\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+class TestImportLayers:
+    """The kernel backends and the analysis packages stay acyclic."""
+
+    def test_compile_loads_no_analysis_module(self):
+        loaded = _modules_after("import repro.hdl.compile")
+        assert "repro.hdl.compile.engine" in loaded
+        assert sorted(m for m in loaded if m.startswith("repro.analysis")) == []
+
+    def test_lint_never_loads_the_compiled_backend(self):
+        # all_rules() imports every built-in rule module
+        loaded = _modules_after(
+            "import repro.analysis.lint\n"
+            "from repro.analysis.lint.engine import all_rules\n"
+            "all_rules()"
+        )
+        assert "repro.analysis.lint.engine" in loaded
+        assert sorted(m for m in loaded if m.startswith("repro.hdl.compile")) == []

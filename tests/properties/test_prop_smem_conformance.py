@@ -5,8 +5,8 @@ is held to the same three obligations on both array kinds:
 
 1. event-kernel parity (observations, cycle counts, VCD bytes identical
    across exhaustive / event / compiled),
-2. zero interpreted fallbacks with the full column vectorized at 256
-   cells,
+2. the full column vectorized at 256 cells, with every process the
+   executor claims absorbed,
 3. wheel-jump safety (idle arrays fast-forward, jumps are invisible),
 
 plus the kit's static array contract.  A new machine gets all of this by
@@ -21,8 +21,8 @@ from tests.properties.smem_conformance import (
     ARRAY_KINDS,
     check_contract,
     check_event_kernel_parity,
+    check_fully_vectorized,
     check_wheel_jump_safety,
-    check_zero_fallback,
     conformance_specs,
 )
 
@@ -37,7 +37,7 @@ class TestKitConformance:
         check_event_kernel_parity(spec, kind)
 
     def test_zero_fallback_at_full_size(self, spec, kind):
-        check_zero_fallback(spec, kind)
+        check_fully_vectorized(spec, kind)
 
     def test_wheel_jump_safety(self, spec, kind):
         check_wheel_jump_safety(spec, kind)

@@ -4,7 +4,7 @@ not move its public import surface.
 Everything downstream of the refactor — ``examples/xisort_demo.py``, the
 C3/C4 benchmarks, user code following the tutorial — imports from
 ``repro.xisort``; these tests freeze that surface so a future kit change
-cannot silently break it.  The module-level re-exports (tree machinery,
+cannot silently break it.  The package-level re-exports (tree machinery,
 microcode word, interval packing) must keep resolving even though they
 now live in :mod:`repro.smem`.
 """
@@ -79,7 +79,6 @@ class TestFrozenSurface:
     def test_submodules_keep_their_homes(self):
         """Pre-kit import paths (submodule level) still work."""
         for mod, names in {
-            "repro.xisort.tree": ["TreeNetwork", "NodeValue", "fold_reduce"],
             "repro.xisort.microcode": ["MICROCODE", "pack_interval",
                                        "unpack_interval", "write_profile"],
             "repro.xisort.cell": ["Cell", "CellCmd", "CellState", "cell_step"],
@@ -93,13 +92,6 @@ class TestFrozenSurface:
             m = importlib.import_module(mod)
             for n in names:
                 assert hasattr(m, n), f"{mod} lost {n}"
-
-    def test_tree_is_the_kit_tree(self):
-        """The shim re-exports, not forks: one TreeNetwork in the system."""
-        from repro.smem.tree import TreeNetwork as kit_tree
-        from repro.xisort.tree import TreeNetwork as compat_tree
-
-        assert compat_tree is kit_tree
 
 
 def _load_script(path: Path, name: str):
