@@ -11,17 +11,17 @@ import pytest
 
 from conftest import report
 from repro.analysis import format_table
-from repro.host import drivers_for
+from repro.host import CoprocessorDriver
 from repro.config import FrameworkConfig
 from repro.isa import instructions as ins
-from repro.system import build_multihost_system
+from repro.system import build_system
 
 OPS_PER_CPU = 24
 
 
 def _run(n_hosts: int) -> tuple[int, list[int]]:
-    system = build_multihost_system(FrameworkConfig(n_regs=64), n_hosts=n_hosts)
-    cpus = drivers_for(system)
+    system = build_system(FrameworkConfig(n_regs=64), n_hosts=n_hosts)
+    cpus = [CoprocessorDriver(system, cpu=i) for i in range(n_hosts)]
     base = 0
     for i, cpu in enumerate(cpus):
         cpu.write_reg(i * 8, 0)

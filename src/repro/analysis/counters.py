@@ -149,11 +149,11 @@ def collect_counters(soc) -> CounterReport:
 
 
 def counters_for(system, driver=None) -> CounterReport:
-    """Counter snapshot for a BuiltSystem/BuiltMultiHostSystem.
+    """Counter snapshot for a BuiltSystem, with one CPU or several.
 
     Pass the :class:`repro.host.CoprocessorDriver` in use to fold its host
     engine's counters (in-flight high-water, queue depth, window stalls)
-    into the report.
+    into the report; on a multi-host system that is one CPU's engine.
     """
     report = collect_counters(system.soc)
     report.cycles = system.sim.now

@@ -16,7 +16,6 @@ from .engine import (
     default_deadline_cycles,
 )
 from .errors import HostTimeoutError, LinkDownError, MachineCheckError
-from .multidriver import HostCpuDriver, drivers_for
 from .program import collect_values, run_program
 from .session import OutOfRegisters, Pipeline, Session
 
@@ -37,8 +36,6 @@ __all__ = [
     "MachineCheckError",
     "TagAllocator",
     "default_deadline_cycles",
-    "HostCpuDriver",
-    "drivers_for",
     "collect_values",
     "run_program",
     "OutOfRegisters",

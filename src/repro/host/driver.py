@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..isa.encoding import Instruction, encode
+from ..messages.multihost import TAG_SEQ_MASK, host_tag
 from ..messages.types import (
     DataRecord,
     Exec,
@@ -79,13 +80,20 @@ def quiet_hysteresis(link) -> int:
 
 
 class CoprocessorDriver:
-    """Message-level interface to a built system."""
+    """Message-level interface to a built system, as one of its host CPUs.
+
+    ``cpu`` picks the port in ``system.soc.hosts`` (a hand-built top level
+    that only has a ``host`` port has one CPU).  On a shared bus the driver
+    confines its tags to that CPU's slice of the tag space unless ``tags``
+    says otherwise.  Register partitioning between CPUs is a software
+    convention, as on any shared coprocessor (see ``Session(reg_range=…)``).
+    """
 
     def __init__(
         self,
         system: BuiltSystem,
         raise_on_exception: bool = True,
-        host_port=None,
+        cpu: int = 0,
         window: Optional[int] = None,
         tags: Optional[Iterable[int]] = None,
     ):
@@ -93,9 +101,17 @@ class CoprocessorDriver:
         self.soc = system.soc
         self.sim = system.sim
         self.raise_on_exception = raise_on_exception
-        #: the HostPort this driver speaks through (multi-CPU systems have
-        #: several, one per CPU — paper Fig. 1.1)
-        self.host = host_port if host_port is not None else system.soc.host
+        hosts = getattr(self.soc, "hosts", None) or [self.soc.host]
+        if not 0 <= cpu < len(hosts):
+            raise ValueError(f"cpu {cpu} out of range for {len(hosts)} host(s)")
+        #: which CPU of the system this driver is (paper Fig. 1.1)
+        self.cpu = cpu
+        #: the HostPort this driver speaks through
+        self.host = hosts[cpu]
+        if tags is None and len(hosts) > 1:
+            # the shared bus routes a response home by the CPU id in the top
+            # bits of its tag, so this CPU may only hand out its own slice
+            tags = [host_tag(cpu, seq) for seq in range(TAG_SEQ_MASK + 1)]
         if window is None:
             window = getattr(system, "engine_window", None) or DEFAULT_WINDOW
         self.engine = HostEngine(

@@ -33,18 +33,20 @@ from .types import Message, DataRecord, FlagVector
 TAG_HOST_BITS = 2
 TAG_SEQ_BITS = 8 - TAG_HOST_BITS
 TAG_SEQ_MASK = (1 << TAG_SEQ_BITS) - 1
+#: CPUs one shared bus can serve (one per CPU-id value of the tag)
+MAX_HOSTS = 1 << TAG_HOST_BITS
 
 
 def host_tag(host_id: int, seq: int) -> int:
     """Compose a response tag carrying the issuing CPU's identity."""
-    if not 0 <= host_id < (1 << TAG_HOST_BITS):
+    if not 0 <= host_id < MAX_HOSTS:
         raise ValueError(f"host id {host_id} exceeds the tag namespace")
     return (host_id << TAG_SEQ_BITS) | (seq & TAG_SEQ_MASK)
 
 
 def tag_owner(tag: int) -> int:
     """CPU id encoded in a response tag."""
-    return (tag >> TAG_SEQ_BITS) & ((1 << TAG_HOST_BITS) - 1)
+    return (tag >> TAG_SEQ_BITS) & (MAX_HOSTS - 1)
 
 
 class SharedHostBus(Component):
@@ -58,8 +60,8 @@ class SharedHostBus(Component):
         parent: Optional[Component] = None,
     ):
         super().__init__(name, parent)
-        if not 1 <= n_hosts <= (1 << TAG_HOST_BITS):
-            raise ValueError(f"n_hosts must be in [1, {1 << TAG_HOST_BITS}]")
+        if not 1 <= n_hosts <= MAX_HOSTS:
+            raise ValueError(f"n_hosts must be in [1, {MAX_HOSTS}]")
         self.n_hosts = n_hosts
         self.hosts = [HostPort(f"cpu{i}", parent=self) for i in range(n_hosts)]
         #: words toward the coprocessor (connect to the link downstream)

@@ -21,6 +21,7 @@ from ..fu.registry import UnitFactory, UnitRegistry, default_registry, fp_regist
 from ..hdl import SimulationError, Simulator
 from ..messages.channel import INTEGRATED, ChannelSpec
 from ..messages.faults import FaultSpec
+from ..messages.multihost import MAX_HOSTS
 from .soc import CoprocessorSystem
 
 
@@ -53,6 +54,11 @@ class SystemBuilder:
     #: holds the effective generics, with ``reliable`` and ``ooo`` folded in.
     config: Optional[FrameworkConfig] = None
     _: KW_ONLY
+    #: Host CPUs sharing the coprocessor (paper Fig. 1.1).  One CPU talks
+    #: through a plain host port; several share the link through a
+    #: frame-arbitrated bus that routes responses by tag (at most
+    #: ``MAX_HOSTS``, the bus's tag namespace).
+    n_hosts: int = 1
     #: Link model of the host→coprocessor direction (the paper's
     #: transmitter/receiver selection).
     channel: ChannelSpec = INTEGRATED
@@ -110,12 +116,32 @@ class SystemBuilder:
             raise ValueError(f"lint mode must be off/warn/error, got {self.lint!r}")
         if self.window is not None and self.window < 1:
             raise ValueError("engine window must be at least 1")
+        if not 1 <= self.n_hosts <= MAX_HOSTS:
+            raise ValueError(
+                f"n_hosts must be in [1, {MAX_HOSTS}] (the shared bus's tag "
+                f"namespace), got {self.n_hosts!r}"
+            )
         config = self.config if self.config is not None else FrameworkConfig()
         if self.reliable:
             config = config.with_(reliable_framing=True)
         if self.ooo:
             config = config.with_(ooo=True)
         object.__setattr__(self, "config", config)
+        if self.n_hosts > 1:
+            if config.reliable_framing:
+                # several CPUs interleave plain frames on one word stream;
+                # per-direction sequence numbering has no single sender
+                raise ValueError(
+                    "reliable framing is not supported on multi-host systems "
+                    "(the shared host bus speaks plain framing)"
+                )
+            if self.state_faults is not None or self.state_protection:
+                # rollback recovery resets the whole coprocessor and replays
+                # one CPU's journal, losing every other CPU's work in flight
+                raise ValueError(
+                    "state_faults/state_protection are not supported on "
+                    "multi-host systems (checkpoint rollback is per host)"
+                )
 
     def unit_registry(self) -> UnitRegistry:
         """The registry the design is built from, resolved against the final

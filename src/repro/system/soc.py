@@ -2,13 +2,15 @@
 
 `CoprocessorSystem` is the top-level simulated design:
 
-* a :class:`HostPort` standing in for the CPU side of the I/O channel,
+* a :class:`HostPort` standing in for the CPU side of the I/O channel — or,
+  for several CPUs (Fig. 1.1), a :class:`SharedHostBus` with one port each,
 * a full-duplex :class:`Link` with configurable latency/bandwidth,
 * COTS-style :class:`Receiver`/:class:`Transmitter` modules,
 * the :class:`RegisterTransferMachine` with its functional units.
 
-The host driver (:mod:`repro.host.driver`) talks to the ``host`` port; the
-rest of the structure is exactly the component diagram of Fig. 2.
+Each host driver (:mod:`repro.host.driver`) talks to one of the ``hosts``
+ports; the coprocessor side is the same for any number of CPUs and is
+exactly the component diagram of Fig. 2.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from ..hdl import Component
 from ..messages.channel import Link
+from ..messages.multihost import SharedHostBus
 from ..messages.transceiver import HostPort, Receiver, Transmitter
 from ..rtm.rtm import RegisterTransferMachine, _connect
 
@@ -25,13 +28,22 @@ if TYPE_CHECKING:
 
 
 class CoprocessorSystem(Component):
-    """Host port + link + transceivers + RTM, fully wired from one spec."""
+    """Host port(s) + link + transceivers + RTM, fully wired from one spec."""
 
     def __init__(self, spec: "SystemBuilder", name: str = "soc"):
         super().__init__(name)
         self.config = config = spec.config
         self.channel_spec = spec.channel
-        self.host = HostPort("host", parent=self)
+        if spec.n_hosts == 1:
+            self.bus = None
+            host_side = self.host = HostPort("host", parent=self)
+            self.hosts = [self.host]
+        else:
+            host_side = self.bus = SharedHostBus(
+                "bus", spec.n_hosts, config.data_words, parent=self
+            )
+            self.hosts = self.bus.hosts
+            self.host = self.hosts[0]
         self.link = Link(
             "link",
             spec.channel,
@@ -53,13 +65,13 @@ class CoprocessorSystem(Component):
         )
 
         # host → coprocessor path
-        _connect(self, self.host.tx, self.link.downstream.inp)
+        _connect(self, host_side.tx, self.link.downstream.inp)
         _connect(self, self.link.downstream.out, self.receiver.chan)
         _connect(self, self.receiver.out, self.rtm.words_in)
         # coprocessor → host path
         _connect(self, self.rtm.words_out, self.transmitter.inp)
         _connect(self, self.transmitter.chan, self.link.upstream.inp)
-        _connect(self, self.link.upstream.out, self.host.rx)
+        _connect(self, self.link.upstream.out, host_side.rx)
 
     # -- state-fault domain accessors -------------------------------------------
 
@@ -80,7 +92,7 @@ class CoprocessorSystem(Component):
         """True while any word, message or instruction is still in flight."""
         rtm = self.rtm
         return bool(
-            self.host.tx_pending
+            any(host.tx_pending for host in self.hosts)
             or self.link.downstream.in_flight
             or self.link.upstream.in_flight
             or self.receiver.buffered

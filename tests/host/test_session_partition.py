@@ -3,9 +3,9 @@
 import pytest
 
 from repro.config import FrameworkConfig
-from repro.host import HostCpuDriver, OutOfRegisters, Session
+from repro.host import CoprocessorDriver, OutOfRegisters, Session
 from repro.isa import ArithOp
-from repro.system import build_multihost_system, build_system
+from repro.system import build_system
 
 
 class TestPartitionedSessions:
@@ -49,11 +49,11 @@ class TestPartitionedSessions:
 class TestSessionsOverMultiHost:
     def test_one_session_per_cpu(self):
         """The full Fig. 1.1 picture: per-CPU sessions on shared hardware."""
-        system = build_multihost_system(FrameworkConfig(n_regs=16), n_hosts=2)
+        system = build_system(FrameworkConfig(n_regs=16), n_hosts=2)
         s0 = Session(system, reg_range=range(0, 8), flag_range=range(1, 4),
-                     driver=HostCpuDriver(system, 0))
+                     driver=CoprocessorDriver(system, cpu=0))
         s1 = Session(system, reg_range=range(8, 16), flag_range=range(4, 8),
-                     driver=HostCpuDriver(system, 1))
+                     driver=CoprocessorDriver(system, cpu=1))
         assert s0.compute(ArithOp.ADD, 20, 22) == 42
         assert s1.compute(ArithOp.SUB, 100, 58) == 42
         # interleaved wide arithmetic on both CPUs

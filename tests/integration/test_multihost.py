@@ -8,16 +8,22 @@ the shared bus arbitrates frames and routes responses by tag namespace.
 import pytest
 
 from repro.config import FrameworkConfig
-from repro.host import drivers_for
+from repro.host import CoprocessorDriver
 from repro.isa import instructions as ins
 from repro.messages.multihost import host_tag, tag_owner
-from repro.system import build_multihost_system
+from repro.system import build_system
+
+
+def drivers(system, raise_on_exception=True):
+    """One driver per CPU of the system."""
+    return [CoprocessorDriver(system, raise_on_exception, cpu=i)
+            for i in range(len(system.soc.hosts))]
 
 
 @pytest.fixture
 def duo():
-    system = build_multihost_system(n_hosts=2)
-    return system, drivers_for(system)
+    system = build_system(n_hosts=2)
+    return system, drivers(system)
 
 
 class TestTagNamespace:
@@ -83,7 +89,7 @@ class TestTwoCpus:
 
     def test_exceptions_broadcast_to_all_cpus(self, duo):
         system, _ = duo
-        cpu0, cpu1 = drivers_for(system, raise_on_exception=False)
+        cpu0, cpu1 = drivers(system, raise_on_exception=False)
         cpu0.execute(ins.dispatch(0x7F, 0))  # illegal opcode
         (msg0,) = cpu0.wait_for(1)
         assert msg0.code  # exception report
@@ -93,24 +99,22 @@ class TestTwoCpus:
 
 class TestScaling:
     def test_four_cpus(self):
-        system = build_multihost_system(
-            FrameworkConfig(n_regs=32), n_hosts=4
-        )
-        cpus = drivers_for(system)
+        system = build_system(FrameworkConfig(n_regs=32), n_hosts=4)
+        cpus = drivers(system)
         for i, cpu in enumerate(cpus):
             cpu.write_reg(i * 8, 100 + i)
         for i, cpu in enumerate(cpus):
             assert cpu.read_reg(i * 8) == 100 + i
 
     def test_single_host_degenerate(self):
-        system = build_multihost_system(n_hosts=1)
-        (cpu,) = drivers_for(system)
+        system = build_system(n_hosts=1)
+        (cpu,) = drivers(system)
         cpu.write_reg(1, 5)
         assert cpu.read_reg(1) == 5
 
     def test_too_many_hosts_rejected(self):
         with pytest.raises(ValueError):
-            build_multihost_system(n_hosts=5)
+            build_system(n_hosts=5)
 
 
 class TestSharedUnitPipelining:
@@ -124,3 +128,37 @@ class TestSharedUnitPipelining:
             cpu1.execute(ins.add(9, 9, 9, dst_flag=2))  # r9 doubles
         assert cpu0.read_reg(1) == 32
         assert cpu1.read_reg(9) == 32
+
+
+class TestOutOfOrderIssue:
+    def test_interleaved_computes_then_quiet(self):
+        """The OoO engine has no in-order ``_full`` latch; the quiescence
+        probe must hold for any dispatcher and any host count."""
+        system = build_system(FrameworkConfig(n_regs=32), n_hosts=2, ooo=True)
+        cpus = drivers(system)
+        mask = system.config.word_mask
+        operands = [(0xFFFF_FFF0, 0x25), (7, 0x1_0000)]
+        expected = {}
+        for i, (cpu, (a, b)) in enumerate(zip(cpus, operands)):
+            base = i * 8
+            cpu.write_reg(base + 1, a)
+            cpu.write_reg(base + 2, b)
+            expected[base + 3] = (a + b) & mask
+            expected[base + 4] = (a - b) & mask
+            expected[base + 5] = ((a + b) + (a - b)) & mask
+        for step in range(3):
+            for i, cpu in enumerate(cpus):
+                base = i * 8
+                if step == 0:
+                    cpu.execute(ins.add(base + 3, base + 1, base + 2, dst_flag=1 + i))
+                elif step == 1:
+                    cpu.execute(ins.sub(base + 4, base + 1, base + 2, dst_flag=3 + i))
+                else:
+                    cpu.execute(ins.add(base + 5, base + 3, base + 4))
+        cpus[0].run_until_quiet()
+        assert not system.soc.busy
+        for reg, value in expected.items():
+            assert system.soc.rtm.register_value(reg) == value
+        for i, cpu in enumerate(cpus):
+            for reg in (i * 8 + 3, i * 8 + 4, i * 8 + 5):
+                assert cpu.read_reg(reg) == expected[reg]

@@ -9,7 +9,8 @@ from repro.fu import (
     MinimalFunctionalUnit,
     PipelinedArithmeticUnit,
 )
-from repro.hdl import SimulationError
+from repro.faults import StateFaultSpec
+from repro.hdl import Component, SimulationError
 from repro.host import CoprocessorDriver
 from repro.isa import Opcode, instructions as ins
 from repro.messages import FAST_BUS, SLOW_PROTOTYPE
@@ -69,6 +70,34 @@ class TestBuilder:
     def test_spec_rejects_bad_values_before_elaboration(self, kwargs, error):
         with pytest.raises(error):
             SystemBuilder(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_hosts": 0},
+        {"n_hosts": 5},
+        {"n_hosts": 2, "reliable": True},
+        {"config": FrameworkConfig(reliable_framing=True), "n_hosts": 2},
+        {"n_hosts": 2, "state_faults": StateFaultSpec(seed=1)},
+        {"n_hosts": 2, "state_protection": True},
+    ], ids=["no-hosts", "past-tag-namespace", "reliable", "config-reliable",
+            "state-faults", "state-protection"])
+    def test_spec_rejects_bad_host_counts_before_elaboration(self, kwargs,
+                                                              monkeypatch):
+        def elaborated(*_args, **_kwargs):
+            raise AssertionError("a component elaborated before validation")
+
+        monkeypatch.setattr(Component, "__init__", elaborated)
+        with pytest.raises(ValueError):
+            build_system(**kwargs)
+
+    @pytest.mark.parametrize("n_hosts", [1, 2, 4])
+    def test_host_count(self, n_hosts):
+        soc = SystemBuilder(n_hosts=n_hosts, lint="off").build().soc
+        assert len(soc.hosts) == n_hosts
+        assert soc.host is soc.hosts[0]
+        if n_hosts == 1:
+            assert soc.bus is None and soc.host.path == "soc.host"
+        else:
+            assert soc.bus.hosts is soc.hosts
 
     def test_build_system_convenience(self):
         built = build_system(FrameworkConfig(n_regs=8), channel=FAST_BUS)
