@@ -1,11 +1,12 @@
 """Command-line interface: ``python -m repro.analysis.lint``.
 
 Targets are either **channel preset names** (``integrated``, ``fast-bus``,
-``slow-prototype`` — each builds the full coprocessor system on that link)
+``slow-prototype`` — each builds the full coprocessor system on that link;
+``integrated:n_hosts=2`` builds it for two CPUs on the shared host bus)
 or **paths to Python files** exposing a ``build_for_lint()`` function that
 returns something lintable (a component tree, a built system, or a
-simulator).  ``--all`` expands to every preset plus every example shipped
-in ``examples/``.
+simulator).  ``--all`` expands to every preset, the 2-CPU integrated
+system and every example shipped in ``examples/``.
 
 Exit status: 0 when no finding reaches the ``--fail-on`` severity
 (default ``error``), 1 when one does, 2 on usage errors.  ``--json``
@@ -79,14 +80,29 @@ def _apply_baseline(path: Path,
     return waived
 
 
-def _build_preset(name: str) -> Any:
+#: the multi-CPU system ``--all`` lints besides the one-CPU presets
+MULTIHOST_TARGET = "integrated:n_hosts=2"
+
+
+def _parse_preset(name: str) -> Optional[Tuple[str, int]]:
+    """``preset`` or ``preset:n_hosts=N`` → (preset, N); None otherwise."""
+    from ...messages.channel import PRESETS
+
+    preset, sep, hosts = name.partition(":n_hosts=")
+    if preset not in PRESETS:
+        return None
+    if not sep:
+        return preset, 1
+    return (preset, int(hosts)) if hosts.isdigit() else None
+
+
+def _build_preset(preset: str, n_hosts: int) -> Any:
     from ...messages.channel import PRESETS
     from ...system.builder import build_system
 
-    spec = PRESETS[name]
     # lint="off": the CLI is the lint pass; double-running would also make
     # a failing design impossible to build and report on.
-    return build_system(channel=spec, lint="off")
+    return build_system(channel=PRESETS[preset], n_hosts=n_hosts, lint="off")
 
 
 def _load_example(path: Path) -> Any:
@@ -119,6 +135,7 @@ def _expand_targets(args: argparse.Namespace) -> List[Tuple[str, Any]]:
     names: List[str] = list(args.targets)
     if args.all:
         names.extend(sorted(PRESETS))
+        names.append(MULTIHOST_TARGET)
         ex_dir = _examples_dir()
         if ex_dir is not None:
             # repo-relative labels so a baseline written on one checkout
@@ -132,8 +149,9 @@ def _expand_targets(args: argparse.Namespace) -> List[Tuple[str, Any]]:
         names = sorted(PRESETS)
     targets: List[Tuple[str, Any]] = []
     for name in names:
-        if name in PRESETS:
-            targets.append((name, ("preset", name)))
+        preset = _parse_preset(name)
+        if preset is not None:
+            targets.append((name, ("preset", preset)))
         else:
             path = Path(name)
             if not path.exists():
@@ -156,7 +174,7 @@ def _expand_targets(args: argparse.Namespace) -> List[Tuple[str, Any]]:
 def _lint_one(kind_arg: Tuple[str, Any], linter: Linter) -> LintReport:
     kind, arg = kind_arg
     if kind == "preset":
-        built = _build_preset(arg)
+        built = _build_preset(*arg)
         return linter.lint(built.soc, sim=built.sim)
     return linter.lint(_load_example(arg))
 
@@ -169,12 +187,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "targets", nargs="*",
-        help="channel preset names and/or paths to modules exposing "
-             "build_for_lint()",
+        help="channel preset names (optionally PRESET:n_hosts=N) and/or "
+             "paths to modules exposing build_for_lint()",
     )
     parser.add_argument(
         "--all", action="store_true",
-        help="lint every channel preset and every shipped example",
+        help="lint every channel preset, the 2-CPU integrated system and "
+             "every shipped example",
     )
     parser.add_argument(
         "--rules", metavar="ID[,ID...]",

@@ -13,7 +13,9 @@ the host-side sharing fabric —
   interleave.  Upstream, it deframes responses and routes each to its
   owner by the **tag namespace convention**: the top bits of the 8-bit
   GET/GETF tag carry the issuing CPU's id.  Untagged responses
-  (exceptions, HALT acknowledgements) are broadcast.
+  (exceptions, HALT acknowledgements) are broadcast.  Each CPU's routed
+  words queue in the bus and reach that CPU's port over its ``rx`` stream,
+  one word per cycle, all CPUs in parallel.
 
 Coordination of registers is software's job (as on any shared
 coprocessor): each CPU works in its own register partition, which
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..hdl import Component, Stream
-from .framing import Deframer, Framer, FramingError, split_header
+from .framing import Deframer, FramingError, split_header
 from .transceiver import HostPort
 from .types import Message, DataRecord, FlagVector
 
@@ -72,10 +74,11 @@ class SharedHostBus(Component):
         self._granted = self.reg("granted", 8, 0)
         self._frame_left = self.reg("frame_left", 16, 0)
         self._last = self.reg("last", 8, n_hosts - 1)
-        # upstream routing state
+        # upstream routing state: words waiting for each CPU's rx stream
+        self._deliver = [self.reg(f"deliver{i}", None, reset=())
+                         for i in range(n_hosts)]
         self._deframer = Deframer(data_words)
-        self._framer = Framer(data_words)
-        self._route_q: list[tuple[int, int]] = []  # (host, word) pending delivery
+        self._frame_words: list[int] = []  # the response frame being received
         self.frames_forwarded = [0] * n_hosts
 
         @self.comb
@@ -103,6 +106,14 @@ class SharedHostBus(Component):
             # --- upstream: accept words whenever they arrive -------------------
             self.rx.ready.set(1)
 
+        @self.comb
+        def _deliver() -> None:
+            for i, host in enumerate(self.hosts):
+                words = self._deliver[i].value
+                host.rx.valid.set(1 if words else 0)
+                if words:
+                    host.rx.payload.set(words[0])
+
         @self.seq
         def _tick() -> None:
             # downstream frame tracking
@@ -119,30 +130,43 @@ class SharedHostBus(Component):
                     self._frame_left.nxt = length
                     self._last.nxt = src_idx
                     self.frames_forwarded[src_idx] += 1
-            # upstream: deframe and route complete messages
+            # upstream: deframe complete messages and queue them for routing
+            arrivals: dict[int, tuple] = {}
             if self.rx.fires():
+                word = self.rx.payload.value
+                self._frame_words.append(word)
                 try:
-                    msg = self._deframer.push(self.rx.payload.value)
+                    msg = self._deframer.push(word)
                 except FramingError:
-                    msg = None  # a broken response frame is dropped at the bus
+                    # a broken response frame is dropped at the bus
+                    msg, self._frame_words = None, []
                 if msg is not None:
-                    self._route(msg)
-            # deliver queued words into host rx queues (behavioural push)
-            while self._route_q:
-                host_idx, word = self._route_q.pop(0)
-                host = self.hosts[host_idx]
-                host._rxq.nxt = host._rxq.nxt + (word,)
+                    frame, self._frame_words = tuple(self._frame_words), []
+                    arrivals = {owner: frame for owner in self._owners(msg)}
+            for i, host in enumerate(self.hosts):
+                queue = self._deliver[i]
+                words = queue.value
+                if host.rx.fires():
+                    words = words[1:]
+                words += arrivals.get(i, ())
+                if words != queue.value:
+                    queue.nxt = words
 
         self.wheel(self._wheel_horizon, lambda n: None)
 
         @self.on_reset
         def _clear() -> None:
             self._deframer = Deframer(data_words)
-            self._route_q.clear()
+            self._frame_words = []
+
+    @property
+    def busy(self) -> bool:
+        """A response frame half received, or words not yet handed to a CPU."""
+        return self._deframer.mid_frame or any(q.value for q in self._deliver)
 
     def _wheel_horizon(self) -> Optional[int]:
         """Idle bus has no horizon; any traffic (or queued routing) vetoes."""
-        if self.tx.valid.value or self.rx.valid.value or self._route_q:
+        if self.tx.valid.value or self.rx.valid.value or self.busy:
             return 0
         return None
 
@@ -155,12 +179,9 @@ class SharedHostBus(Component):
                 return idx
         return self._granted.value
 
-    def _route(self, msg: Message) -> None:
-        words = self._framer.frame(msg)
+    def _owners(self, msg: Message) -> range:
+        """CPUs a response goes to: its tag's owner, or all when untagged."""
         if isinstance(msg, (DataRecord, FlagVector)):
-            owners = [tag_owner(msg.tag)]
-        else:
-            owners = list(range(self.n_hosts))  # broadcast
-        for owner in owners:
-            if owner < self.n_hosts:
-                self._route_q.extend((owner, w) for w in words)
+            owner = tag_owner(msg.tag)
+            return range(owner, owner + 1) if owner < self.n_hosts else range(0)
+        return range(self.n_hosts)  # broadcast

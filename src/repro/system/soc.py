@@ -93,6 +93,7 @@ class CoprocessorSystem(Component):
         rtm = self.rtm
         return bool(
             any(host.tx_pending for host in self.hosts)
+            or (self.bus is not None and self.bus.busy)
             or self.link.downstream.in_flight
             or self.link.upstream.in_flight
             or self.receiver.buffered

@@ -192,6 +192,19 @@ def test_presets_are_fully_analyzable():
     )
 
 
+@pytest.mark.parametrize("n_hosts", [2, 4])
+def test_multihost_builds_lint_clean(n_hosts, capsys):
+    """The shared host bus drives each CPU's rx stream itself: no second
+    driver on a port's receive queue, no undriven stream, no warning."""
+    from repro.analysis.lint import build_design
+
+    built = build_system(n_hosts=n_hosts, lint="error")
+    assert capsys.readouterr().err == ""
+    assert_lint_clean(built.soc, sim=built.sim)
+    design = build_design(built.soc, sim=built.sim)
+    assert design.read_closed and design.write_closed
+
+
 # -- suppressions -------------------------------------------------------------
 
 
@@ -336,6 +349,23 @@ def test_cli_baseline_missing_file_is_a_usage_error(tmp_path):
 
 def test_cli_update_baseline_requires_baseline():
     assert lint_main(["--update-baseline"]) == 2
+
+
+def test_cli_lints_a_multihost_preset(capsys):
+    assert lint_main(["integrated:n_hosts=2", "--fail-on", "warning"]) == 0
+    assert "== integrated:n_hosts=2 ==" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        lint_main(["integrated:n_hosts=two"])
+
+
+def test_cli_all_covers_the_multihost_system():
+    import argparse
+
+    from repro.analysis.lint.cli import MULTIHOST_TARGET, _expand_targets
+
+    labels = [label for label, _ in
+              _expand_targets(argparse.Namespace(targets=[], all=True))]
+    assert MULTIHOST_TARGET in labels
 
 
 def test_cli_rejects_unknown_target():

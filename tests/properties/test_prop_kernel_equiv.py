@@ -14,7 +14,9 @@ Coverage:
 * the handshake components everything else is built on (PipeStage chain,
   SyncFifo, the channel DelayLine) under arbitrary ready/valid patterns,
 * the ξ-sort smart-memory core running real microprograms,
-* the full fig. 4 RTM system executing an instruction burst.
+* the full fig. 4 RTM system executing an instruction burst, with one CPU
+  and with two CPUs on the shared host bus (this one also under the
+  compiled backend).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import io
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,26 +249,37 @@ class TestCaseStudyDesigns:
 
         _assert_identical(_dual_trace(build, drive))
 
-    def test_rtm_system_bit_identical(self):
+    @pytest.mark.parametrize("n_hosts", [1, 2])
+    def test_rtm_system_bit_identical(self, n_hosts):
         """Full fig. 4 system: an instruction burst produces the same
-        waveform, cycle for cycle, under both schedulers."""
+        waveform, cycle for cycle, under every backend.  With two CPUs both
+        drivers interleave their bursts through the shared host bus."""
         from repro.host import CoprocessorDriver
         from repro.isa import instructions as ins
         from repro.system import build_system
 
         traces = {}
-        for backend in SCHEDULERS:
-            system = build_system(backend=backend)
+        for backend in ("exhaustive", "event", "compiled"):
+            system = build_system(backend=backend, n_hosts=n_hosts)
             sim = system.sim
             buf = io.StringIO()
             writer = VcdWriter(sim, buf)
-            driver = CoprocessorDriver(system)
-            driver.write_reg(1, 3)
-            driver.write_reg(2, 5)
+            drivers = [CoprocessorDriver(system, cpu=c) for c in range(n_hosts)]
+            for c, driver in enumerate(drivers):
+                driver.write_reg(8 * c + 1, 3 + c)
+                driver.write_reg(8 * c + 2, 5 + c)
             for i in range(8):
-                driver.execute(ins.add(3 + i % 4, 1, 2, dst_flag=1))
-            driver.execute(ins.fence())
-            driver.run_until_quiet()
+                for c, driver in enumerate(drivers):
+                    base = 8 * c
+                    driver.execute(
+                        ins.add(base + 3 + i % 4, base + 1, base + 2, dst_flag=1 + c)
+                    )
+            for driver in drivers:
+                driver.execute(ins.fence())
+            drivers[0].run_until_quiet()
             writer.detach()
             traces[backend] = (buf.getvalue(), sim.now)
         _assert_identical(traces)
+        vcd_co, now_co = traces["compiled"]
+        assert now_co == traces["event"][1], "compiled cycle count diverges"
+        assert vcd_co == traces["event"][0], "compiled VCD trace diverges"

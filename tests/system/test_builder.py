@@ -91,7 +91,7 @@ class TestBuilder:
 
     @pytest.mark.parametrize("n_hosts", [1, 2, 4])
     def test_host_count(self, n_hosts):
-        soc = SystemBuilder(n_hosts=n_hosts, lint="off").build().soc
+        soc = SystemBuilder(n_hosts=n_hosts, lint="error").build().soc
         assert len(soc.hosts) == n_hosts
         assert soc.host is soc.hosts[0]
         if n_hosts == 1:
