@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from ...hdl.components import Stream
-from ...hdl.signal import Reg, Signal
+from ...hdl.signal import Signal
 
 # -- symbolic model -----------------------------------------------------------
 #
@@ -1365,23 +1365,12 @@ def resolve(fn: Callable[..., Any]) -> ResolvedFn:
         return _Resolver().run(fn)
 
 
-def is_reg(sig: Signal) -> bool:
-    """True for clocked registers (edges through them break comb cycles)."""
-    return isinstance(sig, Reg)
-
-
 __all__ = [
-    "BIN_EXPR_OPS",
-    "CMP_EXPR_OPS",
     "Chain",
     "Expr",
     "FnSummary",
     "ResolvedFn",
     "ResolvedWrite",
-    "UN_EXPR_OPS",
     "WriteSite",
-    "find_def",
     "resolve",
-    "root_env",
-    "summarize",
 ]
