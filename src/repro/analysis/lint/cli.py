@@ -2,7 +2,8 @@
 
 Targets are either **channel preset names** (``integrated``, ``fast-bus``,
 ``slow-prototype`` — each builds the full coprocessor system on that link;
-``integrated:n_hosts=2`` builds it for two CPUs on the shared host bus)
+``integrated:n_hosts=2`` builds the integrated one for two CPUs on the
+shared host bus)
 or **paths to Python files** exposing a ``build_for_lint()`` function that
 returns something lintable (a component tree, a built system, or a
 simulator).  ``--all`` expands to every preset, the 2-CPU integrated
@@ -84,18 +85,6 @@ def _apply_baseline(path: Path,
 MULTIHOST_TARGET = "integrated:n_hosts=2"
 
 
-def _parse_preset(name: str) -> Optional[Tuple[str, int]]:
-    """``preset`` or ``preset:n_hosts=N`` → (preset, N); None otherwise."""
-    from ...messages.channel import PRESETS
-
-    preset, sep, hosts = name.partition(":n_hosts=")
-    if preset not in PRESETS:
-        return None
-    if not sep:
-        return preset, 1
-    return (preset, int(hosts)) if hosts.isdigit() else None
-
-
 def _build_preset(preset: str, n_hosts: int) -> Any:
     from ...messages.channel import PRESETS
     from ...system.builder import build_system
@@ -149,9 +138,10 @@ def _expand_targets(args: argparse.Namespace) -> List[Tuple[str, Any]]:
         names = sorted(PRESETS)
     targets: List[Tuple[str, Any]] = []
     for name in names:
-        preset = _parse_preset(name)
-        if preset is not None:
-            targets.append((name, ("preset", preset)))
+        if name in PRESETS:
+            targets.append((name, ("preset", (name, 1))))
+        elif name == MULTIHOST_TARGET:
+            targets.append((name, ("preset", ("integrated", 2))))
         else:
             path = Path(name)
             if not path.exists():
@@ -187,8 +177,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "targets", nargs="*",
-        help="channel preset names (optionally PRESET:n_hosts=N) and/or "
-             "paths to modules exposing build_for_lint()",
+        help="channel preset names, integrated:n_hosts=2 and/or paths to "
+             "modules exposing build_for_lint()",
     )
     parser.add_argument(
         "--all", action="store_true",

@@ -107,7 +107,7 @@ class SharedHostBus(Component):
             self.rx.ready.set(1)
 
         @self.comb
-        def _deliver() -> None:
+        def _present() -> None:
             for i, host in enumerate(self.hosts):
                 words = self._deliver[i].value
                 host.rx.valid.set(1 if words else 0)

@@ -354,8 +354,6 @@ def test_cli_update_baseline_requires_baseline():
 def test_cli_lints_a_multihost_preset(capsys):
     assert lint_main(["integrated:n_hosts=2", "--fail-on", "warning"]) == 0
     assert "== integrated:n_hosts=2 ==" in capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        lint_main(["integrated:n_hosts=two"])
 
 
 def test_cli_all_covers_the_multihost_system():
